@@ -27,6 +27,7 @@ from .scenarios import (
     BUILTIN_DESCRIPTIONS,
     Scenario,
     ScenarioError,
+    lift_int_digit_limit,
     resolve_scenario,
 )
 
@@ -417,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    lift_int_digit_limit()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

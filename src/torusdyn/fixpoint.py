@@ -9,8 +9,8 @@ exact (big integers and Fractions).
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -87,11 +87,19 @@ class EigenvalueCheck:
     roots: tuple[complex, ...]
 
 
-def _iterate_matrix_difference(f: LatticeEndomorphism, l: int) -> IntegerMatrix:
+def _iterate_matrix_difference(
+    f: LatticeEndomorphism, l: int
+) -> tuple[IntegerMatrix, int]:
+    """K = M^l - I and det K, refusing a degenerate iterate."""
     if l < 1:
         raise ValueError("iterate must be >= 1")
-    n = f.rank
-    return f.matrix**l - IntegerMatrix.identity(n)
+    k = f.matrix**l - IntegerMatrix.identity(f.rank)
+    d = det(k)
+    if d == 0:
+        raise DegenerateFixedLocusError(
+            f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
+        )
+    return k, d
 
 
 def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
@@ -101,29 +109,21 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     translation moves solutions around without changing how many there
     are.
     """
-    k = _iterate_matrix_difference(f, l)
-    d = det(k)
-    if d == 0:
-        raise DegenerateFixedLocusError(
-            f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
-        )
-    return abs(d)
+    return abs(_iterate_matrix_difference(f, l)[1])
 
 
-def enumerate_fixed(f: LatticeEndomorphism, l: int = 1) -> list[TorsionPoint]:
-    """All fixed points of f^l, as canonical torsion points, sorted.
+def fixed_grid(
+    f: LatticeEndomorphism, l: int = 1
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Fix(f^l) as integer numerators over one shared denominator N.
 
-    Solves (M^l - I) x = -t_l over the torus by Smith reduction: with
-    U K V = D the solutions are x = V y, where y_i runs over the d_i
-    translates of the transformed right-hand side.  The walk over
-    solutions accumulates integer numerators over one common denominator
-    so large fixed sets stay cheap.
+    Returns (N, points) with each point a tuple a in [0, N)^n standing for
+    a / N in (1/N)Z^n / Z^n, sorted.  Solves (M^l - I) x = -t_l by Smith
+    reduction: with U K V = D the solutions are x = V y, where y_i runs
+    over the d_i translates of the transformed right-hand side, so N is
+    the lcm of d_i times the denominator of that right-hand side.
     """
-    k = _iterate_matrix_difference(f, l)
-    if det(k) == 0:
-        raise DegenerateFixedLocusError(
-            f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
-        )
+    k, _ = _iterate_matrix_difference(f, l)
     t_l = power(f, l).translation
     snf = smith_normal_form(k)
     rhs = snf.U.apply([-c for c in t_l])
@@ -132,46 +132,57 @@ def enumerate_fixed(f: LatticeEndomorphism, l: int = 1) -> list[TorsionPoint]:
     common = 1
     for d, b in zip(divisors, rhs):
         common = math.lcm(common, d * b.denominator)
-    # per axis: the contribution vectors y_i * V[:, i], numerators over common
-    axes: list[list[list[int]]] = []
+    # every solution is a sum over axes i of one vector y_i * V[:, i]
+    points: list[tuple[int, ...]] = [(0,) * n]
     for i, (d, b) in enumerate(zip(divisors, rhs)):
-        base = b * common / d
+        base = int(b * common / d)
         step = common // d
         column = [snf.V[r, i] for r in range(n)]
-        axes.append(
-            [[int(base + j * step) * c for c in column] for j in range(d)]
-        )
-    numerators: list[tuple[int, ...]] = []
+        axis = [
+            [(base + j * step) * c % common for c in column] for j in range(d)
+        ]
+        points = [
+            tuple((p + v) % common for p, v in zip(point, vec))
+            for point in points
+            for vec in axis
+        ]
+    points.sort()
+    return common, points
 
-    def walk(depth: int, partial: list[int]) -> None:
-        if depth == n:
-            numerators.append(tuple(p % common for p in partial))
-            return
-        for vec in axes[depth]:
-            walk(depth + 1, [p + v for p, v in zip(partial, vec)])
 
-    walk(0, [0] * n)
-    numerators.sort()
-    residues = [Fraction(v, common) for v in range(common)]
-    return [
-        TorsionPoint(tuple(residues[v] for v in nums)) for nums in numerators
-    ]
+def enumerate_fixed(f: LatticeEndomorphism, l: int = 1) -> list[TorsionPoint]:
+    """All fixed points of f^l, as canonical torsion points, sorted.
+
+    The points come from fixed_grid as integer numerators over a shared
+    denominator N; they become TorsionPoints only here, one Fraction per
+    distinct numerator.
+    """
+    common, numerators = fixed_grid(f, l)
+    residues: dict[int, Fraction] = {}
+    for point in numerators:
+        for v in point:
+            if v not in residues:
+                residues[v] = Fraction(v, common)
+    return [TorsionPoint(tuple(residues[v] for v in point)) for point in numerators]
 
 
 def brute_force_count(
     f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Independent oracle: exhaustively scan a grid guaranteed to hold Fix(f^l).
+    """Independent oracle: exhaustively count the (1/G)-grid points of Fix(f^l).
 
-    The kernel of (M^l - I) lies in (1/D)Z^{2g} / Z^{2g} for D the largest
+    The kernel of K = M^l - I lies in (1/D)Z^n / Z^n for D the largest
     elementary divisor; with a translation of denominator r every solution
-    lies in the (1/(D r))-grid.  Refuses (never truncates) past the budget.
+    lies on the grid of side G = D r.  Only D is taken from the Smith
+    form, never its transforms, so the scan stays independent of the
+    congruence solving in fixed_grid.  A grid point a / G is fixed when
+    K a + G t = 0 mod G.  The residues of that sum over the first n - 1
+    coordinates are built one coordinate at a time, and each is matched
+    against a Counter of the residues -K[:, n-1] a_{n-1} of the last
+    coordinate, so every one of the G^n grid points is accounted for.
+    Refuses (never truncates) past the budget.
     """
-    k = _iterate_matrix_difference(f, l)
-    if det(k) == 0:
-        raise DegenerateFixedLocusError(
-            f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
-        )
+    k, _ = _iterate_matrix_difference(f, l)
     t_l = power(f, l).translation
     d_max = smith_normal_form(k).largest_divisor()
     r = math.lcm(*(c.denominator for c in t_l))
@@ -181,18 +192,19 @@ def brute_force_count(
         raise BudgetExceededError(
             f"grid of {grid}^{n} points exceeds budget {budget}"
         )
-    rows = [k.row(i) for i in range(n)]
-    # Integer form of "K x + t in Z^n" on the grid x = a/grid.
-    shifts = [int(grid * c) for c in t_l]
-    count = 0
-    for a in itertools.product(range(grid), repeat=n):
-        for row, s in zip(rows, shifts):
-            acc = sum(r_j * a_j for r_j, a_j in zip(row, a)) + s
-            if acc % grid != 0:
-                break
-        else:
-            count += 1
-    return count
+    columns = [[k[i, j] for i in range(n)] for j in range(n)]
+    prefixes = [tuple(int(grid * c) % grid for c in t_l)]
+    for column in columns[:-1]:
+        multiples = [[c * a % grid for c in column] for a in range(grid)]
+        prefixes = [
+            tuple((p + m) % grid for p, m in zip(prefix, multiple))
+            for prefix in prefixes
+            for multiple in multiples
+        ]
+    last = Counter(
+        tuple(-c * a % grid for c in columns[-1]) for a in range(grid)
+    )
+    return sum(last[prefix] for prefix in prefixes)
 
 
 def growth_table(

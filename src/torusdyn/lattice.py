@@ -85,12 +85,13 @@ class TorsionPoint:
     coordinates: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in self.coordinates
-        )
-        if any(c < 0 or c >= 1 for c in coords):
-            raise ValueError("coordinates must be canonical representatives in [0,1)")
-        object.__setattr__(self, "coordinates", coords)
+        coords = self.coordinates
+        if type(coords) is not tuple or not all(type(c) is Fraction for c in coords):
+            coords = tuple(Fraction(c) for c in coords)
+            object.__setattr__(self, "coordinates", coords)
+        for c in coords:
+            if not 0 <= c.numerator < c.denominator:
+                raise ValueError("coordinates must be canonical representatives in [0,1)")
 
     @classmethod
     def reduce(cls, vector: Sequence) -> "TorsionPoint":

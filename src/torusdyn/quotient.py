@@ -9,11 +9,13 @@ lower bound for fixed points downstairs.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fixpoint import BudgetExceededError, DEFAULT_BUDGET, count_fixed, enumerate_fixed
+from .fixpoint import BudgetExceededError, DEFAULT_BUDGET, count_fixed, fixed_grid
 from .lattice import LatticeEndomorphism, TorsionPoint, reduce_mod_lattice
 from .linalg import IntegerMatrix, det, smith_normal_form
 
@@ -199,6 +201,45 @@ def lift_compatibility(f: LatticeEndomorphism, action: GroupAction) -> LiftRepor
     )
 
 
+def _grid_classes(
+    common: int, points: Sequence[tuple[int, ...]], action: GroupAction
+) -> list[list[int]]:
+    """Classes of the G-relation on the points a / common of the torus.
+
+    Returns lists of indices into points.  The grid is refined to the lcm
+    N of common and every translation denominator, so that an element
+    (U, s) acts on numerators in (1/N)Z^n / Z^n as a -> (U a + N s) mod N,
+    in integers only.  A seed's class holds the seed and those of its
+    images that are still unclaimed members of the set.
+    """
+    grid = math.lcm(
+        common, *(c.denominator for g in action.elements for c in g.translation)
+    )
+    scale = grid // common
+    maps = [
+        (
+            [g.linear.row(i) for i in range(g.rank)],
+            [int(c * grid) for c in g.translation],
+        )
+        for g in action.elements
+    ]
+    remaining = {tuple(a * scale for a in p): i for i, p in enumerate(points)}
+    classes: list[list[int]] = []
+    while remaining:
+        seed, index = remaining.popitem()
+        cls = [index]
+        for rows, shift in maps:
+            image = tuple(
+                (sum(map(operator.mul, row, seed)) + s) % grid
+                for row, s in zip(rows, shift)
+            )
+            found = remaining.pop(image, None)
+            if found is not None:
+                cls.append(found)
+        classes.append(cls)
+    return classes
+
+
 def orbit_partition(
     points: Sequence[TorsionPoint], action: GroupAction
 ) -> list[list[TorsionPoint]]:
@@ -206,19 +247,19 @@ def orbit_partition(
 
     Two points are related when some group element maps one to the other;
     images outside the given set are ignored (classes may be smaller than
-    full orbits).
+    full orbits).  The points are put over their common denominator and
+    classified on that integer grid by the helper quotient_fixed_lower_bound
+    uses; the TorsionPoints themselves are only handed back.
     """
-    remaining = {p.coordinates: p for p in points}
-    classes: list[list[TorsionPoint]] = []
-    while remaining:
-        _, seed = remaining.popitem()
-        cls = [seed]
-        for g in action.elements:
-            image = g.apply(seed.coordinates)
-            if image in remaining:
-                cls.append(remaining.pop(image))
-        classes.append(cls)
-    return classes
+    common = math.lcm(*(c.denominator for p in points for c in p.coordinates))
+    numerators = [
+        tuple(c.numerator * (common // c.denominator) for c in p.coordinates)
+        for p in points
+    ]
+    return [
+        [points[i] for i in cls]
+        for cls in _grid_classes(common, numerators, action)
+    ]
 
 
 def quotient_fixed_lower_bound(
@@ -230,7 +271,9 @@ def quotient_fixed_lower_bound(
 ) -> QuotientBound:
     """Orbit count of Fix(f^l), a certified lower bound for the quotient count.
 
-    The asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
+    The fixed set is taken from fixed_grid as integer numerators over one
+    shared denominator and its orbits are counted on that grid, so no
+    TorsionPoint or Fraction is built per point.  The asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
     at-most-|G|-to-1 projection argument), kept as an exact rational.  The
     multiplier-based value (q^l - 1)^g / |G| is reported for comparison
     but never asserted.
@@ -246,9 +289,8 @@ def quotient_fixed_lower_bound(
         raise BudgetExceededError(
             f"enumerating {upstairs} fixed points exceeds budget {budget}"
         )
-    points = enumerate_fixed(f, l)
-    classes = orbit_partition(points, action)
-    orbit_count = len(classes)
+    common, points = fixed_grid(f, l)
+    orbit_count = len(_grid_classes(common, points, action))
     order = len(action)
     bound = Fraction(upstairs, order)
     if orbit_count < bound:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,16 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def lift_int_digit_limit() -> None:
+    """Turn off the interpreter's cap on int <-> str digits (Python >= 3.10.7).
+
+    Counts and matrix entries are exact and can run past the default 4,300
+    digits; CSV output and scenario JSON must carry them losslessly.
+    """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _parse_int(value, where: str) -> int:
@@ -137,6 +148,7 @@ def _parse_vector(value, where: str, length: int) -> tuple[Fraction, ...]:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
+    lift_int_digit_limit()
     if not isinstance(data, dict):
         raise ScenarioError("top level: expected an object")
     name = data.get("name")
@@ -250,6 +262,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Lossless JSON form: integers and rationals rendered as strings."""
+    lift_int_digit_limit()
 
     def int_matrix(m: IntegerMatrix) -> list[list[str]]:
         return [[str(x) for x in m.row(i)] for i in range(m.rows)]

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately naive: cofactor determinants, principal-minor sums, and
-elementary random matrix generators.  None of these share code with the
-package paths they check.
+Deliberately naive: cofactor determinants, principal-minor sums, a
+per-point grid scan, a Fraction orbit partition, and elementary random
+matrix generators.  None of these share code with the package paths they
+check.  The package imports nothing from here.
 """
 
 from __future__ import annotations
@@ -77,3 +78,56 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntegerMat
         else:
             rows[i] = [-a for a in rows[i]]
     return IntegerMatrix.from_rows(rows)
+
+
+def brute_force_scan(f, l: int = 1, budget: int = 10**6) -> int:
+    """Fixed points of f^l by one dot product per row and grid point.
+
+    Scans the same (1/G)-grid as fixpoint.brute_force_count, G the largest
+    elementary divisor of M^l - I times the translation denominator, and
+    tests K a + G t = 0 mod G at every point a.  Assumes det(M^l - I) != 0.
+    """
+    # imported here: bench/oracle.py executes this file and relies on its
+    # top-level imports staying as they are
+    import math
+
+    from torusdyn import BudgetExceededError, power, smith_normal_form
+
+    n = f.rank
+    k = f.matrix**l - IntegerMatrix.identity(n)
+    t_l = power(f, l).translation
+    grid = smith_normal_form(k).largest_divisor() * math.lcm(
+        *(c.denominator for c in t_l)
+    )
+    if grid**n > budget:
+        raise BudgetExceededError(f"grid of {grid}^{n} points exceeds budget {budget}")
+    rows = [k.row(i) for i in range(n)]
+    shifts = [int(grid * c) for c in t_l]
+    count = 0
+    for a in itertools.product(range(grid), repeat=n):
+        for row, s in zip(rows, shifts):
+            acc = sum(r_j * a_j for r_j, a_j in zip(row, a)) + s
+            if acc % grid != 0:
+                break
+        else:
+            count += 1
+    return count
+
+
+def orbit_partition_fractions(points, action) -> list:
+    """Classes of the G-relation, one Fraction image per element and seed.
+
+    Same contract as quotient.orbit_partition: images outside the set are
+    ignored, so a class may be smaller than a full orbit.
+    """
+    remaining = {p.coordinates: p for p in points}
+    classes = []
+    while remaining:
+        _, seed = remaining.popitem()
+        cls = [seed]
+        for g in action.elements:
+            image = g.apply(seed.coordinates)
+            if image in remaining:
+                cls.append(remaining.pop(image))
+        classes.append(cls)
+    return classes

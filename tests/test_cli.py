@@ -29,6 +29,38 @@ class TestCount:
         assert rows == (("3", "49"),)
 
 
+def gaussian_power(z: tuple[int, int], e: int) -> tuple[int, int]:
+    """z^e for a Gaussian integer z = (re, im), by repeated squaring."""
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    result = (1, 0)
+    while e:
+        if e & 1:
+            result = mul(result, z)
+        z = mul(z, z)
+        e >>= 1
+    return result
+
+
+class TestBigCount:
+    def test_gaussian_l_100000_prints_every_digit(self, capsys, default_int_digit_limit):
+        # 1+i on C/Z[i] has |(1+i)^l - 1|^2 fixed points: ~30,000 digits here
+        l = 100_000
+        code, out, err = run_cli(
+            capsys, "count", "--scenario", "gaussian-cm", "--l", str(l), "--format", "csv"
+        )
+        assert code == 0, err
+        re, im = gaussian_power((1, 1), l)
+        expected = (re - 1) ** 2 + im**2
+        headers, rows = parse_csv(out)
+        assert headers == ("l", "fixed_points")
+        assert rows[0][0] == str(l)
+        assert int(rows[0][1]) == expected
+        assert len(rows[0][1]) > 4300
+
+
 class TestEnumerate:
     def test_deterministic_listing(self, capsys):
         code, first, _ = run_cli(

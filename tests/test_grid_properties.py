@@ -1,0 +1,165 @@
+"""Properties of the integer-grid point sets on seeded random maps.
+
+Maps are M = I + R diag(d) R' with R, R' random unimodular, so that
+det(M - I) = +-prod(d) is known by construction, plus a translation of a
+random denominator.  Enumeration, the determinant count, the brute-force
+grid scan and the per-point scan of tests/oracles.py must agree, and the
+orbit classes must match the Fraction oracle.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from torusdyn import (
+    AffineAutomorphism,
+    GroupAction,
+    IntegerMatrix,
+    LatticeEndomorphism,
+    TorsionPoint,
+    brute_force_count,
+    count_fixed,
+    enumerate_fixed,
+    orbit_partition,
+    quotient_fixed_lower_bound,
+    resolve_scenario,
+    validate_action,
+)
+
+from oracles import brute_force_scan, orbit_partition_fractions, random_unimodular
+
+PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+# diagonal entries and translation denominators keep the oracle scan small:
+# grid side at most lcm(4, 5) * 6 at rank 2 and lcm(2, 3) * 2 at rank 4
+DIAGONAL = {2: [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5], 4: [-3, -2, -1, 1, 2, 3]}
+MAX_DENOMINATOR = {2: 6, 4: 2}
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def fixed_point_maps(draw, rank: int) -> LatticeEndomorphism:
+    rng = random.Random(draw(seeds))
+    d = draw(st.lists(st.sampled_from(DIAGONAL[rank]), min_size=rank, max_size=rank))
+    k = random_unimodular(rng, rank) * IntegerMatrix.diagonal(d) * random_unimodular(rng, rank)
+    denominator = draw(st.integers(1, MAX_DENOMINATOR[rank]))
+    translation = draw(
+        st.lists(st.integers(0, denominator - 1), min_size=rank, max_size=rank)
+    )
+    return LatticeEndomorphism(
+        IntegerMatrix.identity(rank) + k,
+        tuple(Fraction(a, denominator) for a in translation),
+    )
+
+
+any_rank_maps = st.sampled_from([2, 4]).flatmap(fixed_point_maps)
+
+
+def free_cyclic_action(
+    rng: random.Random, linear: IntegerMatrix, shift: list[Fraction], order: int
+) -> GroupAction:
+    """The powers of P g P^-1 for g(x) = linear x + shift, P random unimodular."""
+    rank = linear.rows
+    p = random_unimodular(rng, rank)
+    p_inv = p.to_rational().inverse().to_integer()
+    generator = AffineAutomorphism(p * linear * p_inv, p.apply(shift))
+    elements = [AffineAutomorphism.identity(rank)]
+    for _ in range(order - 1):
+        elements.append(generator.compose(elements[-1]))
+    return GroupAction(tuple(elements))
+
+
+def free_actions(rng: random.Random, rank: int) -> list[GroupAction]:
+    """Free actions of Z/2 and, at rank 4, Z/4: x_1 moves by 1/order while
+    the other coordinates are flipped or rotated."""
+    zero = [Fraction(0)] * (rank - 1)
+    flip = IntegerMatrix.diagonal([1] * (rank // 2) + [-1] * (rank // 2))
+    actions = [free_cyclic_action(rng, flip, [Fraction(1, 2)] + zero, 2)]
+    if rank == 4:
+        rotate = IntegerMatrix.from_rows(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+        )
+        actions.append(free_cyclic_action(rng, rotate, [Fraction(1, 4)] + zero, 4))
+    return actions
+
+
+def as_sets(classes) -> set[frozenset]:
+    return {frozenset(p.coordinates for p in cls) for cls in classes}
+
+
+@PROPERTIES
+@given(any_rank_maps)
+def test_four_counts_agree(f):
+    points = enumerate_fixed(f, 1)
+    assert len(points) == count_fixed(f, 1) == brute_force_count(f, 1) == brute_force_scan(f, 1)
+
+
+@PROPERTIES
+@given(any_rank_maps)
+def test_enumerated_points_are_fixed_and_distinct(f):
+    points = enumerate_fixed(f, 1)
+    assert all(a.coordinates < b.coordinates for a, b in zip(points, points[1:]))
+    for p in points:
+        image = f.matrix.apply(p.coordinates)
+        for x, y, t in zip(p.coordinates, image, f.translation):
+            assert (y + t - x).denominator == 1
+
+
+def orbit_union(rng: random.Random, action: GroupAction, count: int) -> list[TorsionPoint]:
+    """A G-stable set: the orbits of a few random points of the (1/12)-grid."""
+    points = set()
+    for _ in range(count):
+        p = tuple(Fraction(rng.randrange(12), 12) for _ in range(action.rank))
+        points.update(g.apply(p) for g in action.elements)
+    return [TorsionPoint(p) for p in sorted(points)]
+
+
+# the Fraction oracle takes ~0.1 ms per image, so fewer and smaller cases
+ORBIT_PROPERTIES = settings(PROPERTIES, max_examples=15)
+
+
+@ORBIT_PROPERTIES
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(fixed_point_maps(n), seeds)))
+def test_orbit_partition_matches_fraction_oracle(case):
+    f, seed = case
+    rng = random.Random(seed)
+    actions = free_actions(rng, f.rank)
+    if f.rank == 4:
+        actions.append(resolve_scenario("bielliptic-quotient").action)
+    fixed = enumerate_fixed(f, 1)
+    third_grid = [
+        TorsionPoint(tuple(Fraction(a, 3) for a in p))
+        for p in itertools.product(range(3), repeat=f.rank)
+    ]
+    for action in actions:
+        assert validate_action(action).free
+        # a fixed set of f is not G-stable in general, the random halves of
+        # stable sets are not either, and every image leaves the (1/3)-grid
+        for points in (fixed, orbit_union(rng, action, 6), third_grid):
+            half = [p for p in points if rng.random() < 0.5]
+            for chosen in (points, half):
+                expected = as_sets(orbit_partition_fractions(chosen, action))
+                assert as_sets(orbit_partition(chosen, action)) == expected
+
+
+@ORBIT_PROPERTIES
+@given(seeds, st.sampled_from([2, 4]), st.sampled_from([-3, 5]), st.integers(1, 2))
+def test_quotient_orbit_count_matches_fraction_oracle(seed, rank, m, l):
+    # [m] with m = 1 mod 4 commutes with elements whose translation is 4-torsion
+    f = LatticeEndomorphism.multiplication_by(m, rank // 2)
+    assume(count_fixed(f, l) <= 600)
+    points = enumerate_fixed(f, l)
+    for action in free_actions(random.Random(seed), rank):
+        bound = quotient_fixed_lower_bound(f, action, m * m, l)
+        assert bound.orbit_count == len(orbit_partition_fractions(points, action))
+
+
+@pytest.mark.parametrize("bad", [Fraction(-1, 2), Fraction(3, 2), Fraction(1)])
+def test_torsion_point_rejects_non_canonical_coordinates(bad):
+    with pytest.raises(ValueError, match=r"\[0,1\)"):
+        TorsionPoint((Fraction(0), bad))

@@ -48,6 +48,19 @@ class TestRoundTrip:
         again = scenario_from_dict(scenario_to_dict(scenario))
         assert again == scenario
 
+    def test_five_thousand_digit_entry_round_trips(self, default_int_digit_limit, tmp_path):
+        digits = "1" + "0" * 4998 + "7"
+        data = minimal_dict()
+        data["endomorphism"]["M"] = [[digits, "0"], ["0", "2"]]
+        scenario = scenario_from_dict(json.loads(json.dumps(data)))
+        assert scenario.endomorphism.matrix[0, 0] == 10**4999 + 7
+        dumped = scenario_to_dict(scenario)
+        assert dumped["endomorphism"]["M"][0][0] == digits
+        assert scenario_from_dict(json.loads(json.dumps(dumped))) == scenario
+        path = tmp_path / "big.json"
+        save_scenario_file(scenario, path)
+        assert load_scenario_file(path) == scenario
+
 
 class TestSchemaValidation:
     def test_missing_name(self):
