@@ -9,6 +9,7 @@ isogeny degree is |det M|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,24 +18,31 @@ from .linalg import (
     IntegerMatrix,
     RationalMatrix,
     det,
+    exact_fraction,
     smith_normal_form,
 )
 
 
 def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
-    """Canonical representative of a rational vector mod Z^n, entries in [0,1)."""
-    return tuple(Fraction(v) % 1 for v in vector)
+    """Canonical representative of a rational vector mod Z^n, entries in [0,1).
+
+    A float entry is refused with ValueError.
+    """
+    return tuple(exact_fraction(v) % 1 for v in vector)
 
 
-def _leading_minors_positive(m: RationalMatrix) -> bool:
-    """Sylvester test: all leading principal minors strictly positive."""
-    for k in range(1, m.rows + 1):
-        sub = RationalMatrix.from_rows(
-            [[m[i, j] for j in range(k)] for i in range(k)]
-        )
-        if sub.determinant() <= 0:
-            return False
-    return True
+def _leading_minors_positive(h: RationalMatrix) -> bool:
+    """Sylvester test: all leading principal minors strictly positive.
+
+    Bareiss runs on L h, L the lcm of the denominators of h; the k-th
+    minor is scaled by L^k > 0, so its sign is that of h's minor.
+    """
+    scale = math.lcm(*(e.denominator for e in h.entries))
+    rows = [[e.numerator * (scale // e.denominator) for e in h.row(i)] for i in range(h.rows)]
+    return all(
+        det(IntegerMatrix.from_rows([row[:k] for row in rows[:k]])) > 0
+        for k in range(1, h.rows + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class TorsionPoint:
     def __post_init__(self):
         coords = self.coordinates
         if type(coords) is not tuple or not all(type(c) is Fraction for c in coords):
-            coords = tuple(Fraction(c) for c in coords)
+            coords = tuple(exact_fraction(c) for c in coords)
             object.__setattr__(self, "coordinates", coords)
         for c in coords:
             if not 0 <= c.numerator < c.denominator:
@@ -155,7 +163,7 @@ class LatticeEndomorphism:
 
     def value_at(self, point: Sequence) -> tuple[Fraction, ...]:
         """Image of a point of the torus, reduced to [0,1)^{2g}."""
-        image = self.matrix.apply([Fraction(c) for c in point])
+        image = self.matrix.apply([exact_fraction(c) for c in point])
         return reduce_mod_lattice([a + b for a, b in zip(image, self.translation)])
 
 
@@ -210,16 +218,18 @@ def complementary_isogeny(
     """The complementary isogeny: minimal m > 0 with m M^{-1} integral.
 
     Returns (f_hat, m) with f_hat.matrix * M = M * f_hat.matrix = m I; m is
-    the largest elementary divisor of M (the exponent of the kernel).
+    the largest elementary divisor of M (the exponent of the kernel).  From
+    the Smith form U M V = diag(d_i), m M^{-1} = V diag(m / d_i) U, so no
+    rational inverse is formed.
     """
     if not f.is_translation_free():
         raise ValueError("complementary isogeny needs a translation-free isogeny")
-    if det(f.matrix) == 0:
+    snf = smith_normal_form(f.matrix)
+    if 0 in snf.elementary_divisors:
         raise ValueError("degenerate endomorphism (degree 0) has no complementary isogeny")
-    m = smith_normal_form(f.matrix).largest_divisor()
-    inverse = f.matrix.to_rational().inverse()
-    hat = (inverse * Fraction(m)).to_integer()
-    return LatticeEndomorphism(hat), m
+    m = snf.largest_divisor()
+    scale = IntegerMatrix.diagonal([m // d for d in snf.elementary_divisors])
+    return LatticeEndomorphism(snf.V * scale * snf.U), m
 
 
 def polarization_multiplier(
@@ -291,52 +301,8 @@ def product(
 
 def is_saturated(basis: IntegerMatrix) -> bool:
     """Full column rank with all elementary divisors 1 (primitive sublattice)."""
-    snf = smith_normal_form(basis)
-    divisors = snf.elementary_divisors
-    if len(divisors) < basis.cols:
-        return False
-    return all(d == 1 for d in divisors[: basis.cols]) and all(
-        d == 0 for d in divisors[basis.cols :]
-    )
-
-
-def _solve_columns(
-    basis: IntegerMatrix, rhs: IntegerMatrix
-) -> RationalMatrix | None:
-    """Solve basis * X = rhs exactly; None when inconsistent.
-
-    basis must have full column rank (checked by the caller via saturation).
-    """
-    nrows, ncols = basis.rows, basis.cols
-    width = rhs.cols
-    aug = [
-        [Fraction(basis[i, j]) for j in range(ncols)]
-        + [Fraction(rhs[i, j]) for j in range(width)]
-        for i in range(nrows)
-    ]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    if r < ncols:
-        return None  # rank deficient
-    # Consistency: all rows beyond the rank must have zero right-hand side.
-    for i in range(r, nrows):
-        if any(aug[i][ncols + j] != 0 for j in range(width)):
-            return None
-    return RationalMatrix.from_rows(
-        [[aug[i][ncols + j] for j in range(width)] for i in range(ncols)]
+    return basis.cols <= basis.rows and all(
+        d == 1 for d in smith_normal_form(basis).elementary_divisors
     )
 
 
@@ -345,35 +311,25 @@ def restrict_to_sublattice(
 ) -> LatticeEndomorphism:
     """Restriction to an invariant saturated sublattice, in basis coordinates.
 
-    Solves M * basis = basis * M' exactly and converts the translation to
-    sublattice coordinates (it must lie in the rational span of the basis
-    modulo Z^{2g}).
+    One Smith form U B V = [I; 0] of the k-column basis B decides
+    saturation and solves B M' = M B: that holds exactly when the rows
+    k.. of U M B vanish, and then M' = V (U M B)[:k].  The translation t
+    must lie in the span of B modulo Z^{2g}: the rows k.. of U t are
+    integral, and t' = V (U t)[:k].
     """
     if basis.rows != f.rank:
         raise ValueError("basis rows must match the ambient rank")
     if basis.cols % 2 != 0 or basis.cols > basis.rows:
         raise ValueError("basis must have even column count at most the ambient rank")
-    if not is_saturated(basis):
-        raise ValueError("basis is not saturated (elementary divisors must all be 1)")
-    solved = _solve_columns(basis, f.matrix * basis)
-    if solved is None or not solved.is_integral():
-        raise ValueError("sublattice is not invariant under the endomorphism")
-    restricted = solved.to_integer()
-
-    if f.is_translation_free():
-        return LatticeEndomorphism(restricted)
-    # Solve basis * t' = t mod Z^{2g} through the Smith form of the basis.
     snf = smith_normal_form(basis)
+    if any(d != 1 for d in snf.elementary_divisors):
+        raise ValueError("basis is not saturated (elementary divisors must all be 1)")
+    k = basis.cols
+    image = (snf.U * f.matrix * basis).to_lists()
+    if any(any(row) for row in image[k:]):
+        raise ValueError("sublattice is not invariant under the endomorphism")
+    restricted = snf.V * IntegerMatrix.from_rows(image[:k])
     u_t = snf.U.apply(f.translation)
-    small = [Fraction(0)] * basis.cols
-    for i in range(basis.rows):
-        d = snf.D[i, i] if i < basis.cols else 0
-        if d == 0:
-            if u_t[i].denominator != 1:
-                raise ValueError(
-                    "translation does not lie in the sublattice span modulo Z^{2g}"
-                )
-        else:
-            small[i] = u_t[i] / d
-    t_prime = snf.V.apply(small)
-    return LatticeEndomorphism(restricted, reduce_mod_lattice(t_prime))
+    if any(c.denominator != 1 for c in u_t[k:]):
+        raise ValueError("translation does not lie in the sublattice span modulo Z^{2g}")
+    return LatticeEndomorphism(restricted, snf.V.apply(u_t[:k]))

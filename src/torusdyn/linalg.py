@@ -1,16 +1,30 @@
 """Exact linear algebra over Z and Q.
 
 Everything here is arbitrary precision: matrices carry Python ints (or
-Fractions), determinants use fraction-free Bareiss elimination, Smith
-normal forms come with their unimodular transforms, and characteristic
-polynomials are computed by an integer-preserving recursion.  No floats.
+Fractions), and float entries are refused.  Two kernels do all the
+elimination: fraction-free Bareiss for determinants and the Smith normal
+form with its unimodular transforms; inverses, solves and definiteness
+tests elsewhere are derived from them.  The Pfaffian uses exact skew
+elimination, and characteristic polynomials an integer-preserving
+recursion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+
+def exact_fraction(value) -> Fraction:
+    """Fraction of an int, Fraction or rational string; a float is refused.
+
+    Fraction(0.1) would silently be 3602879701896397/2^55.
+    """
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float; give an exact rational such as '1/10'")
+    return Fraction(value)
 
 
 class NonSquareMatrixError(ValueError):
@@ -36,7 +50,11 @@ class IntegerMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        try:
+            entries = tuple(map(operator.index, self.entries))
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -46,7 +64,7 @@ class IntegerMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+        return cls(nrows, ncols, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -194,7 +212,7 @@ class RationalMatrix:
             raise ValueError("matrix dimensions must be >= 1")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(map(exact_fraction, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -204,7 +222,7 @@ class RationalMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(Fraction(x) for r in rows for x in r))
+        return cls(nrows, ncols, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -278,55 +296,6 @@ class RationalMatrix:
             sum((self.row(i)[k] * Fraction(vector[k]) for k in range(self.cols)), Fraction(0))
             for i in range(self.rows)
         )
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
-    def to_integer(self) -> IntegerMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntegerMatrix(self.rows, self.cols, tuple(int(e) for e in self.entries))
-
-    def determinant(self) -> Fraction:
-        if not self.is_square:
-            raise NonSquareMatrixError("determinant needs a square matrix")
-        n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
-        det_value = Fraction(1)
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                det_value = -det_value
-            pivot = a[k][k]
-            det_value *= pivot
-            for i in range(k + 1, n):
-                factor = a[i][k] / pivot
-                if factor:
-                    for j in range(k, n):
-                        a[i][j] -= factor * a[k][j]
-        return det_value
-
-    def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
-        if not self.is_square:
-            raise NonSquareMatrixError("inverse needs a square matrix")
-        n = self.rows
-        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                raise ValueError("singular matrix has no inverse")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            pivot = a[k][k]
-            a[k] = [x / pivot for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    factor = a[i][k]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-        return RationalMatrix.from_rows([row[n:] for row in a])
 
 
 @dataclass(frozen=True)
@@ -503,11 +472,15 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def col_nonzero_below(k):
-        return any(work[i][k] != 0 for i in range(k + 1, rows))
-
-    def row_nonzero_right(k):
-        return any(work[k][j] != 0 for j in range(k + 1, cols))
+    def clear(k):
+        """Alternate row and column clearing until row and column k are clean."""
+        while any(work[i][k] != 0 for i in range(k + 1, rows)) or any(
+            work[k][j] != 0 for j in range(k + 1, cols)
+        ):
+            for i in range(k + 1, rows):
+                _clear_with_gcd(work, U, k, i, k, by_rows=True)
+            for j in range(k + 1, cols):
+                _clear_with_gcd(work, V, k, j, k, by_rows=False)
 
     limit = min(rows, cols)
     for k in range(limit):
@@ -529,12 +502,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 row[k], row[pj] = row[pj], row[k]
             for row in V:
                 row[k], row[pj] = row[pj], row[k]
-        # Alternate row and column clearing until both are clean.
-        while col_nonzero_below(k) or row_nonzero_right(k):
-            for i in range(k + 1, rows):
-                _clear_with_gcd(work, U, k, i, k, by_rows=True)
-            for j in range(k + 1, cols):
-                _clear_with_gcd(work, V, k, j, k, by_rows=False)
+        clear(k)
         # Pivot must divide every remaining entry; if not, fold the bad row in.
         while True:
             offender = None
@@ -551,11 +519,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 work[k][j] += work[offender][j]
             for j in range(rows):
                 U[k][j] += U[offender][j]
-            while col_nonzero_below(k) or row_nonzero_right(k):
-                for i in range(k + 1, rows):
-                    _clear_with_gcd(work, U, k, i, k, by_rows=True)
-                for j in range(k + 1, cols):
-                    _clear_with_gcd(work, V, k, j, k, by_rows=False)
+            clear(k)
 
     # Normalize signs to nonnegative (row negation keeps U unimodular).
     for k in range(limit):
@@ -594,23 +558,6 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
         if k < n:
             Mk = AM + IntegerMatrix.scalar(n, ck)
     return IntegerPolynomial(tuple(coeffs))
-
-
-def _pfaffian_recursive(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 2:
-        return a[0][1]
-    total = 0
-    for j in range(1, n):
-        if a[0][j] == 0:
-            continue
-        keep = [i for i in range(1, n) if i != j]
-        minor = [[a[r][c] for c in keep] for r in keep]
-        sign = 1 if j % 2 == 1 else -1
-        total += sign * a[0][j] * _pfaffian_recursive(minor)
-    return total
 
 
 def _pfaffian_eliminate(a: list[list[Fraction]]) -> int:
@@ -653,15 +600,13 @@ def _pfaffian_eliminate(a: list[list[Fraction]]) -> int:
 def pfaffian(s: IntegerMatrix) -> int:
     """Pfaffian of an even-dimensional skew-symmetric integer matrix.
 
-    Satisfies Pf(s)^2 = det(s) and Pf(U^T s U) = det(U) Pf(s).  Recursive
-    expansion up to dimension 8, exact elimination beyond.
+    Satisfies Pf(s)^2 = det(s) and Pf(U^T s U) = det(U) Pf(s).  Computed by
+    exact skew elimination in every dimension.
     """
     if not s.is_square or s.rows % 2 != 0:
         raise SkewSymmetryError("pfaffian needs an even-dimensional square matrix")
     if not s.is_skew_symmetric():
         raise SkewSymmetryError("pfaffian needs a skew-symmetric matrix")
-    if s.rows <= 8:
-        return _pfaffian_recursive(s.to_lists())
     return _pfaffian_eliminate([[Fraction(x) for x in s.row(i)] for i in range(s.rows)])
 
 

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately naive: cofactor determinants, principal-minor sums, a
-per-point grid scan, a Fraction orbit partition, and elementary random
-matrix generators.  None of these share code with the package paths they
-check.  The package imports nothing from here.
+Deliberately naive: cofactor determinants, principal-minor sums, the
+Pfaffian by expansion along the first row, a per-point grid scan, a
+Fraction orbit partition, and elementary random matrix generators.  None
+of these share code with the package paths they check.  The package
+imports nothing from here.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def principal_minor_trace(rows: list[list[int]], k: int) -> int:
     for subset in itertools.combinations(range(n), k):
         minor = [[rows[i][j] for j in subset] for i in subset]
         total += det_cofactor(minor)
+    return total
+
+
+def pfaffian_expansion(a: list[list[int]]) -> int:
+    """Pf(a) = sum_j (-1)^(j+1) a[0][j] Pf(a without rows/columns 0, j)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 2:
+        return a[0][1]
+    total = 0
+    for j in range(1, n):
+        if a[0][j] == 0:
+            continue
+        keep = [i for i in range(1, n) if i != j]
+        minor = [[a[r][c] for c in keep] for r in keep]
+        sign = 1 if j % 2 == 1 else -1
+        total += sign * a[0][j] * pfaffian_expansion(minor)
     return total
 
 

@@ -22,6 +22,7 @@ from torusdyn import (
     LatticeEndomorphism,
     TorsionPoint,
     brute_force_count,
+    complementary_isogeny,
     count_fixed,
     enumerate_fixed,
     orbit_partition,
@@ -66,7 +67,7 @@ def free_cyclic_action(
     """The powers of P g P^-1 for g(x) = linear x + shift, P random unimodular."""
     rank = linear.rows
     p = random_unimodular(rng, rank)
-    p_inv = p.to_rational().inverse().to_integer()
+    p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
     generator = AffineAutomorphism(p * linear * p_inv, p.apply(shift))
     elements = [AffineAutomorphism.identity(rank)]
     for _ in range(order - 1):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from torusdyn import (
 )
 from torusdyn.scenarios import _cm_torus
 
-from oracles import random_nonsingular
+from oracles import random_matrix, random_nonsingular, random_unimodular
 
 J0 = RationalMatrix.from_rows([[0, -1], [1, 0]])
 S0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
@@ -56,6 +57,13 @@ class TestComplexTorus:
         with pytest.raises(ValueError, match="positive definite"):
             ComplexTorus(1, complex_structure=J0, riemann_form=-S0)
 
+    def test_positivity_with_non_integral_complex_structure(self):
+        # J^T S = [[1/2, 1/2], [1/2, 5/2]] for S = -S0: leading minors 1/2 and 1
+        j = RationalMatrix.from_rows([[HALF, Fraction(5, 2)], [-HALF, -HALF]])
+        ComplexTorus(1, complex_structure=j, riemann_form=-S0)
+        with pytest.raises(ValueError, match="positive definite"):
+            ComplexTorus(1, complex_structure=j, riemann_form=S0)
+
     def test_g_must_be_positive(self):
         with pytest.raises(ValueError):
             ComplexTorus(0)
@@ -71,6 +79,17 @@ class TestEndomorphismBasics:
         assert p.coordinates == (HALF, Fraction(2, 3))
         with pytest.raises(ValueError):
             TorsionPoint((Fraction(3, 2),))
+
+    def test_float_translation_refused(self):
+        # Fraction(0.1) would be 3602879701896397/2^55, not 1/10
+        with pytest.raises(ValueError, match="float"):
+            endo([[2, 0], [0, 2]], (0.1, 0))
+
+    def test_float_torsion_point_refused(self):
+        with pytest.raises(ValueError, match="float"):
+            TorsionPoint((0.1, 0))
+        with pytest.raises(ValueError, match="float"):
+            TorsionPoint.reduce([0.5, 0])
 
     def test_analytic_check(self):
         torus = ComplexTorus(1, complex_structure=J0)
@@ -194,13 +213,15 @@ class TestComplementaryIsogeny:
 
     def test_product_of_degrees(self):
         rng = random.Random(13)
-        for n in (2, 4):
+        for n in (2, 4, 6, 8):
             for _ in range(10):
                 f = LatticeEndomorphism(random_nonsingular(rng, n))
                 hat, m = complementary_isogeny(f)
                 assert hat.matrix * f.matrix == IntegerMatrix.scalar(n, m)
                 assert f.matrix * hat.matrix == IntegerMatrix.scalar(n, m)
                 assert m**n == degree(f) * degree(hat)
+                # m is minimal: (m / p) M^{-1} is integral for no prime p | m
+                assert math.gcd(m, *hat.matrix.entries) == 1
 
 
 class TestPolarizationMultiplier:
@@ -341,3 +362,31 @@ class TestRestrictToSublattice:
             a = power(restrict_to_sublattice(f, self.DIAGONAL), l)
             b = restrict_to_sublattice(power(f, l), self.DIAGONAL)
             assert a == b
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_invariant_sublattice(self, seed):
+        # M = P [[A, B], [E, C]] P^-1 maps the first k columns of the
+        # unimodular P into their span exactly when E = 0, and then M' = A
+        rng = random.Random(seed)
+        n = rng.choice((4, 6))
+        k = rng.choice(range(2, n, 2))
+        p = random_unimodular(rng, n)
+        p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
+        assert p * p_inv == IntegerMatrix.identity(n)
+        basis = IntegerMatrix.from_rows([list(p.row(i)[:k]) for i in range(n)])
+        block = random_matrix(rng, n).to_lists()
+        for i in range(k, n):
+            block[i][:k] = [0] * k
+        m = p * IntegerMatrix.from_rows(block) * p_inv
+        t_prime = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(k)]
+        f = LatticeEndomorphism(m, basis.apply(t_prime))
+
+        restricted = restrict_to_sublattice(f, basis)
+        assert basis * restricted.matrix == m * basis
+        assert restricted.matrix.to_lists() == [row[:k] for row in block[:k]]
+        assert restricted.translation == TorsionPoint.reduce(t_prime).coordinates
+
+        block[k][rng.randrange(k)] = rng.choice((-2, -1, 1, 2))
+        moved = LatticeEndomorphism(p * IntegerMatrix.from_rows(block) * p_inv)
+        with pytest.raises(ValueError, match="not invariant"):
+            restrict_to_sublattice(moved, basis)

@@ -16,6 +16,7 @@ from torusdyn.linalg import NonSquareMatrixError, SkewSymmetryError
 
 from oracles import (
     det_cofactor,
+    pfaffian_expansion,
     principal_minor_trace,
     random_matrix,
     random_skew,
@@ -173,13 +174,14 @@ class TestPfaffian:
 
     def test_squares_to_determinant(self):
         rng = random.Random(31)
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 8):
             for _ in range(10):
                 s = random_skew(rng, n)
+                assert pfaffian(s) == pfaffian_expansion(s.to_lists())
                 assert pfaffian(s) ** 2 == det(s)
 
     def test_elimination_branch(self):
-        # dimension 10 exercises the exact-elimination path
+        # beyond the reach of the expansion oracle: Pf^2 = det and congruence
         rng = random.Random(47)
         for _ in range(5):
             s = random_skew(rng, 10, -4, 4)
@@ -248,14 +250,13 @@ class TestPolynomialAndMatrixBasics:
         assert (m**5)[0, 1] == 5
         assert m**0 == IntegerMatrix.identity(2)
 
-    def test_rational_inverse(self):
-        m = RationalMatrix.from_rows([[1, 2], [3, 4]])
-        inv = m.inverse()
-        assert m * inv == RationalMatrix.identity(2)
-
-    def test_rational_inverse_singular(self):
-        with pytest.raises(ValueError):
-            RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+    def test_inexact_entries_refused(self):
+        # int() would truncate 1.7 to 1 and Fraction(0.1) is 3602879701896397/2^55
+        with pytest.raises(ValueError, match="integers"):
+            IntegerMatrix.from_rows([[1.7, 0], [0, 1]])
+        with pytest.raises(ValueError, match="float"):
+            RationalMatrix.from_rows([[0.1, 0], [0, 1]])
+        assert RationalMatrix.from_rows([["1/10", 0], [0, 1]])[0, 0].denominator == 10
 
     def test_block_diagonal(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])

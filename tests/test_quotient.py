@@ -45,6 +45,10 @@ class TestAffineAutomorphism:
         )
         assert a.translation == (HALF, HALF)
 
+    def test_float_translation_refused(self):
+        with pytest.raises(ValueError, match="float"):
+            AffineAutomorphism(IntegerMatrix.identity(2), (0.5, 0))
+
     def test_composition(self):
         inv = bielliptic_action().elements[1]
         square = inv.compose(inv)
