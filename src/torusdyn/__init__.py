@@ -1,8 +1,9 @@
 """Exact workbench for fixed points of lattice-torus endomorphisms.
 
 Models a complex torus as the lattice Z^{2g} with an optional rational
-complex structure and integral Riemann form; endomorphisms are integer
-matrices with rational translations.  Everything downstream (degrees,
+complex structure (integer numerators over one denominator) and integral
+Riemann form; endomorphisms, and the affine automorphisms of a group
+action, are integer matrices with rational translations.  Everything downstream (degrees,
 fixed-point counts, growth tables, quotient bounds, intersection
 identities) is computed in exact arithmetic.
 """
@@ -51,7 +52,6 @@ from .lattice import (
 from .linalg import (
     IntegerMatrix,
     IntegerPolynomial,
-    RationalMatrix,
     SmithDecomposition,
     charpoly,
     det,
@@ -61,7 +61,6 @@ from .linalg import (
 )
 from .quotient import (
     ActionReport,
-    AffineAutomorphism,
     GroupAction,
     LiftReport,
     QuotientBound,

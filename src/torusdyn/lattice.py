@@ -1,26 +1,23 @@
 """Lattice model of complex tori and their endomorphisms.
 
 A torus of half-dimension g is the quotient R^{2g} / Z^{2g}, optionally
-carrying a rational complex structure J (J^2 = -I) and an integral
-Riemann form S (nondegenerate alternating, compatible with J).  An
-endomorphism is an integer matrix plus a rational translation; its
-isogeny degree is |det M|.
+carrying a rational complex structure J (J^2 = -I), held as integer
+numerators over one denominator, and an integral Riemann form S
+(nondegenerate alternating, compatible with J).  An endomorphism is an
+integer matrix plus a rational translation; its isogeny degree is
+|det M|.  Affine automorphisms x -> U x + s are endomorphisms with U
+unimodular.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (
-    IntegerMatrix,
-    RationalMatrix,
-    det,
-    exact_fraction,
-    smith_normal_form,
-)
+from .linalg import IntegerMatrix, det, exact_fraction, smith_normal_form
 
 
 def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
@@ -31,14 +28,9 @@ def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
     return tuple(exact_fraction(v) % 1 for v in vector)
 
 
-def _leading_minors_positive(h: RationalMatrix) -> bool:
-    """Sylvester test: all leading principal minors strictly positive.
-
-    Bareiss runs on L h, L the lcm of the denominators of h; the k-th
-    minor is scaled by L^k > 0, so its sign is that of h's minor.
-    """
-    scale = math.lcm(*(e.denominator for e in h.entries))
-    rows = [[e.numerator * (scale // e.denominator) for e in h.row(i)] for i in range(h.rows)]
+def _leading_minors_positive(h: IntegerMatrix) -> bool:
+    """Sylvester test: all leading principal minors strictly positive."""
+    rows = h.to_lists()
     return all(
         det(IntegerMatrix.from_rows([row[:k] for row in rows[:k]])) > 0
         for k in range(1, h.rows + 1)
@@ -47,11 +39,20 @@ def _leading_minors_positive(h: RationalMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ComplexTorus:
-    """Rank-2g lattice torus with optional complex structure and Riemann form."""
+    """Rank-2g lattice torus with optional complex structure and Riemann form.
+
+    The complex structure is J = complex_structure / complex_denominator:
+    integer numerators over one denominator d >= 1, kept in lowest terms
+    as a Fraction is, so equal structures compare equal.  Every check is
+    an integer identity on the numerators: J J = -d^2 I, J^T S J = d^2 S,
+    and J^T S symmetric with positive leading minors (the k-th differs
+    from the true one by the factor d^k > 0).
+    """
 
     g: int
-    complex_structure: RationalMatrix | None = None
+    complex_structure: IntegerMatrix | None = None
     riemann_form: IntegerMatrix | None = None
+    complex_denominator: int = 1
 
     def __post_init__(self):
         if self.g < 1:
@@ -59,10 +60,24 @@ class ComplexTorus:
         n = self.rank
         J = self.complex_structure
         S = self.riemann_form
+        try:
+            d = operator.index(self.complex_denominator)
+        except TypeError:
+            raise ValueError("complex denominator must be an integer") from None
+        if d < 1:
+            raise ValueError("complex denominator must be >= 1")
+        if J is None and d != 1:
+            raise ValueError("complex denominator given without a complex structure")
         if J is not None:
             if (J.rows, J.cols) != (n, n):
                 raise ValueError(f"complex structure must be {n}x{n}")
-            if J * J != RationalMatrix.identity(n) * Fraction(-1):
+            common = math.gcd(d, *J.entries)
+            if common > 1:
+                J = IntegerMatrix(n, n, tuple(e // common for e in J.entries))
+                d //= common
+                object.__setattr__(self, "complex_structure", J)
+            object.__setattr__(self, "complex_denominator", d)
+            if J * J != IntegerMatrix.scalar(n, -d * d):
                 raise ValueError("complex structure must square to -I")
         if S is not None:
             if (S.rows, S.cols) != (n, n):
@@ -72,10 +87,9 @@ class ComplexTorus:
             if det(S) == 0:
                 raise ValueError("Riemann form must be nondegenerate")
         if J is not None and S is not None:
-            Sq = S.to_rational()
-            if J.transpose() * Sq * J != Sq:
+            H = J.transpose() * S
+            if H * J != S * (d * d):
                 raise ValueError("Riemann form not J-invariant (J^T S J != S)")
-            H = J.transpose() * Sq
             if H != H.transpose():
                 raise ValueError("J^T S must be symmetric")
             if not _leading_minors_positive(H):
@@ -175,8 +189,7 @@ def is_analytic(f: LatticeEndomorphism, torus: ComplexTorus) -> bool:
     J = torus.complex_structure
     if J is None:
         return True
-    Mq = f.matrix.to_rational()
-    return Mq * J == J * Mq
+    return f.matrix * J == J * f.matrix
 
 
 def compose(f: LatticeEndomorphism, h: LatticeEndomorphism) -> LatticeEndomorphism:
@@ -270,7 +283,8 @@ def product(
 ) -> tuple[ComplexTorus, LatticeEndomorphism]:
     """Block-diagonal product torus and endomorphism.
 
-    J and S are assembled only when every factor supplies one.
+    J and S are assembled only when every factor supplies one; J is put
+    over the lcm of the factors' denominators.
     """
     if not tori or len(tori) != len(endos):
         raise ValueError("need equally many tori and endomorphisms, at least one")
@@ -278,22 +292,16 @@ def product(
         if torus.rank != endo.rank:
             raise ValueError("factor endomorphism does not act on its torus")
     g = sum(t.g for t in tori)
-    J = None
+    J, d = None, 1
     if all(t.complex_structure is not None for t in tori):
-        blocks = [t.complex_structure for t in tori]
-        n = 2 * g
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        r0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rows[r0 + i][r0 + j] = b[i, j]
-            r0 += b.rows
-        J = RationalMatrix.from_rows(rows)
+        d = math.lcm(*(t.complex_denominator for t in tori))
+        J = IntegerMatrix.block_diagonal(
+            [t.complex_structure * (d // t.complex_denominator) for t in tori]
+        )
     S = None
     if all(t.riemann_form is not None for t in tori):
         S = IntegerMatrix.block_diagonal([t.riemann_form for t in tori])
-    torus = ComplexTorus(g, complex_structure=J, riemann_form=S)
+    torus = ComplexTorus(g, complex_structure=J, riemann_form=S, complex_denominator=d)
     matrix = IntegerMatrix.block_diagonal([e.matrix for e in endos])
     translation = tuple(c for e in endos for c in e.translation)
     return torus, LatticeEndomorphism(matrix, translation)

@@ -1,11 +1,12 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z.
 
-Everything here is arbitrary precision: matrices carry Python ints (or
-Fractions), and float entries are refused.  Two kernels do all the
-elimination: fraction-free Bareiss for determinants and the Smith normal
-form with its unimodular transforms; inverses, solves and definiteness
-tests elsewhere are derived from them.  The Pfaffian uses exact skew
-elimination, and characteristic polynomials an integer-preserving
+Everything here is arbitrary precision: matrices carry Python ints, and
+float entries are refused; a rational matrix is an integer matrix over
+one denominator kept beside it.  Two kernels do all the elimination:
+fraction-free Bareiss for determinants and the Smith normal form with
+its unimodular transforms; inverses, solves and definiteness tests
+elsewhere are derived from them.  The Pfaffian uses fraction-free
+skew elimination, and characteristic polynomials an integer-preserving
 recursion.
 """
 
@@ -173,8 +174,9 @@ class IntegerMatrix:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def apply(self, vector: Sequence) -> tuple:
@@ -190,112 +192,8 @@ class IntegerMatrix:
             self[i, j] == -self[j, i] for i in range(self.rows) for j in range(self.cols)
         )
 
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.rows, self.cols, tuple(Fraction(e) for e in self.entries)
-        )
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable matrix of exact rationals (Fraction keeps lowest terms)."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(map(exact_fraction, self.entries)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            raise ValueError("matrix dimensions must be >= 1")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(x for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n))
-        )
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return RationalMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return RationalMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in multiplication")
-            ocols = other.cols
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(ocols):
-                    out.append(sum(ri[k] * other.entries[k * ocols + j] for k in range(self.cols)))
-            return RationalMatrix(self.rows, ocols, tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return RationalMatrix(self.rows, self.cols, tuple(a * other for a in self.entries))
-        if isinstance(other, IntegerMatrix):
-            return self * other.to_rational()
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, IntegerMatrix):
-            return other.to_rational() * self
-        return NotImplemented
-
-    def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self.row(i)[k] * Fraction(vector[k]) for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
 
 @dataclass(frozen=True)
@@ -305,7 +203,10 @@ class IntegerPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        try:
+            coeffs = tuple(map(operator.index, self.coefficients))
+        except TypeError:
+            raise ValueError("polynomial coefficients must be integers") from None
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -560,16 +461,19 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     return IntegerPolynomial(tuple(coeffs))
 
 
-def _pfaffian_eliminate(a: list[list[Fraction]]) -> int:
-    """Pfaffian by skew elimination over exact rationals.
+def _pfaffian_eliminate(a: list[list[int]]) -> int:
+    """Pfaffian by fraction-free skew elimination.
 
-    Pf(S) = S[0][1] * Pf(S') with S' the Schur complement on rows/cols {0,1};
-    row/column swaps flip the sign.  The result of the recursion is an exact
-    rational that must be an integer for integer input.
+    A step pivots on p = a[0][1] and replaces the rows/cols from 2 on by
+    (p a[i][k] + a[0][k] a[1][i] - a[0][i] a[1][k]) / prev, prev the
+    previous pivot.  By the Pfaffian analogue of Sylvester's identity each
+    new entry is the Pfaffian of the pivot rows so far together with
+    {i, k}, so every division is exact and the last pivot is Pf(a).
+    Row/column swaps flip the sign.
     """
     n = len(a)
     sign = 1
-    value = Fraction(1)
+    prev = 1
     while n > 0:
         j = next((c for c in range(1, n) if a[0][c] != 0), None)
         if j is None:
@@ -580,34 +484,27 @@ def _pfaffian_eliminate(a: list[list[Fraction]]) -> int:
             a[1], a[j] = a[j], a[1]
             sign = -sign
         p = a[0][1]
-        value *= p
         rest = range(2, n)
-        b = [
-            [
-                a[i][k] + (a[0][k] * a[1][i] - a[0][i] * a[1][k]) / p
-                for k in rest
-            ]
+        a = [
+            [(p * a[i][k] + a[0][k] * a[1][i] - a[0][i] * a[1][k]) // prev for k in rest]
             for i in rest
         ]
-        a = b
+        prev = p
         n -= 2
-    result = sign * value
-    if result.denominator != 1:
-        raise ArithmeticError("pfaffian elimination produced a non-integer")
-    return int(result)
+    return sign * prev
 
 
 def pfaffian(s: IntegerMatrix) -> int:
     """Pfaffian of an even-dimensional skew-symmetric integer matrix.
 
     Satisfies Pf(s)^2 = det(s) and Pf(U^T s U) = det(U) Pf(s).  Computed by
-    exact skew elimination in every dimension.
+    fraction-free skew elimination in every dimension.
     """
     if not s.is_square or s.rows % 2 != 0:
         raise SkewSymmetryError("pfaffian needs an even-dimensional square matrix")
     if not s.is_skew_symmetric():
         raise SkewSymmetryError("pfaffian needs a skew-symmetric matrix")
-    return _pfaffian_eliminate([[Fraction(x) for x in s.row(i)] for i in range(s.rows)])
+    return _pfaffian_eliminate(s.to_lists())
 
 
 def exterior_trace_sum(m: IntegerMatrix) -> int:

@@ -1,10 +1,10 @@
 """Finite groups of affine torus automorphisms and quotient fixed-point bounds.
 
-A group element is a unimodular linear part plus a rational translation.
-Freeness of each non-identity element is decided exactly by Smith-form
-solvability of (U - I)x = -s over the torus.  The quotient itself is
-never built: orbit counting on the fixed set upstairs certifies the
-lower bound for fixed points downstairs.
+A group element is a LatticeEndomorphism x -> U x + s whose matrix U is
+unimodular.  Freeness of each non-identity element is decided exactly by
+Smith-form solvability of (U - I)x = -s over the torus.  The quotient
+itself is never built: orbit counting on the fixed set upstairs
+certifies the lower bound for fixed points downstairs.
 """
 
 from __future__ import annotations
@@ -16,59 +16,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fixpoint import BudgetExceededError, DEFAULT_BUDGET, count_fixed, fixed_grid
-from .lattice import LatticeEndomorphism, TorsionPoint, reduce_mod_lattice
+from .lattice import LatticeEndomorphism, TorsionPoint, compose
 from .linalg import IntegerMatrix, det, smith_normal_form
 
 
 @dataclass(frozen=True)
-class AffineAutomorphism:
-    """Torus automorphism x -> U x + s with U unimodular."""
-
-    linear: IntegerMatrix
-    translation: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        U = self.linear
-        if not U.is_square:
-            raise ValueError("linear part must be square")
-        if abs(det(U)) != 1:
-            raise ValueError("linear part must be unimodular (|det| = 1)")
-        s = self.translation if self.translation else (Fraction(0),) * U.rows
-        if len(s) != U.rows:
-            raise ValueError("translation length must match the linear part")
-        object.__setattr__(self, "translation", reduce_mod_lattice(s))
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineAutomorphism":
-        return cls(IntegerMatrix.identity(n))
-
-    @property
-    def rank(self) -> int:
-        return self.linear.rows
-
-    def is_identity(self) -> bool:
-        return self.linear == IntegerMatrix.identity(self.rank) and all(
-            c == 0 for c in self.translation
-        )
-
-    def apply(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        image = self.linear.apply(point)
-        return reduce_mod_lattice([a + b for a, b in zip(image, self.translation)])
-
-    def compose(self, other: "AffineAutomorphism") -> "AffineAutomorphism":
-        if self.rank != other.rank:
-            raise ValueError("dimension mismatch in composition")
-        linear = self.linear * other.linear
-        shifted = self.linear.apply(other.translation)
-        translation = tuple(a + b for a, b in zip(shifted, self.translation))
-        return AffineAutomorphism(linear, translation)
-
-
-@dataclass(frozen=True)
 class GroupAction:
-    """Finite list of affine automorphisms, meant to be a free group action."""
+    """Finite list of affine automorphisms, meant to be a free group action.
 
-    elements: tuple[AffineAutomorphism, ...]
+    Each element is a LatticeEndomorphism x -> U x + s with U unimodular;
+    a non-unimodular element is refused and named as action[i].
+    """
+
+    elements: tuple[LatticeEndomorphism, ...]
 
     def __post_init__(self):
         if not self.elements:
@@ -76,6 +36,9 @@ class GroupAction:
         ranks = {e.rank for e in self.elements}
         if len(ranks) != 1:
             raise ValueError("all elements must act on the same torus")
+        for i, e in enumerate(self.elements):
+            if abs(det(e.matrix)) != 1:
+                raise ValueError(f"action[{i}]: linear part must be unimodular (|det| = 1)")
         object.__setattr__(self, "elements", tuple(self.elements))
 
     @property
@@ -116,14 +79,14 @@ class QuotientBound:
     formula_bound: Fraction
 
 
-def _element_has_fixed_point(element: AffineAutomorphism) -> bool:
+def _element_has_fixed_point(element: LatticeEndomorphism) -> bool:
     """Exact solvability of (U - I)x = -s over the torus via Smith form.
 
     Nonzero elementary divisors always admit solutions; each zero divisor
     demands an integral transformed right-hand side.
     """
     n = element.rank
-    k = element.linear - IntegerMatrix.identity(n)
+    k = element.matrix - IntegerMatrix.identity(n)
     snf = smith_normal_form(k)
     rhs = snf.U.apply([-c for c in element.translation])
     for d, b in zip(snf.elementary_divisors, rhs):
@@ -136,22 +99,22 @@ def validate_action(action: GroupAction) -> ActionReport:
     """Check closure, identity, inverses, and fixed-point freeness."""
     violations: list[str] = []
     elements = action.elements
-    keys = {(e.linear, e.translation): i for i, e in enumerate(elements)}
-    if len(keys) != len(elements):
+    members = set(elements)
+    identity = LatticeEndomorphism.identity(elements[0].g)
+    if len(members) != len(elements):
         violations.append("duplicate elements in the list")
-    if not any(e.is_identity() for e in elements):
+    if identity not in members:
         violations.append("identity element missing")
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
-            c = a.compose(b)
-            if (c.linear, c.translation) not in keys:
+            if compose(a, b) not in members:
                 violations.append(f"closure fails: element {i} composed with {j}")
     for i, a in enumerate(elements):
-        if not any(a.compose(b).is_identity() for b in elements):
+        if not any(compose(a, b) == identity for b in elements):
             violations.append(f"inverse missing for element {i}")
     free = True
     for i, a in enumerate(elements):
-        if a.is_identity():
+        if a == identity:
             continue
         if _element_has_fixed_point(a):
             free = False
@@ -167,33 +130,16 @@ def lift_compatibility(f: LatticeEndomorphism, action: GroupAction) -> LiftRepor
     """
     if f.rank != action.rank:
         raise ValueError("endomorphism and action ranks differ")
+    images = [compose(g_prime, f) for g_prime in action.elements]
     permutation: list[int] = []
     failures: list[str] = []
     for i, g in enumerate(action.elements):
-        lhs_matrix = f.matrix * g.linear
-        lhs_translation = reduce_mod_lattice(
-            [a + b for a, b in zip(f.matrix.apply(g.translation), f.translation)]
-        )
-        match = None
-        for j, g_prime in enumerate(action.elements):
-            if g_prime.linear * f.matrix != lhs_matrix:
-                continue
-            rhs_translation = reduce_mod_lattice(
-                [
-                    a + b
-                    for a, b in zip(
-                        g_prime.linear.apply(f.translation), g_prime.translation
-                    )
-                ]
-            )
-            if rhs_translation == lhs_translation:
-                match = j
-                break
-        if match is None:
+        lhs = compose(f, g)
+        if lhs in images:
+            permutation.append(images.index(lhs))
+        else:
             failures.append(f"no group element matches f composed with element {i}")
             permutation.append(-1)
-        else:
-            permutation.append(match)
     return LiftReport(
         compatible=not failures,
         permutation=tuple(permutation),
@@ -218,7 +164,7 @@ def _grid_classes(
     scale = grid // common
     maps = [
         (
-            [g.linear.row(i) for i in range(g.rank)],
+            [g.matrix.row(i) for i in range(g.rank)],
             [int(c * grid) for c in g.translation],
         )
         for g in action.elements
@@ -273,8 +219,9 @@ def quotient_fixed_lower_bound(
 
     The fixed set is taken from fixed_grid as integer numerators over one
     shared denominator and its orbits are counted on that grid, so no
-    TorsionPoint or Fraction is built per point.  The asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
-    at-most-|G|-to-1 projection argument), kept as an exact rational.  The
+    TorsionPoint or Fraction is built per point.  The asserted inequality
+    is orbit_count >= |Fix(f^l)| / |G| (the at-most-|G|-to-1 projection
+    argument), kept as an exact rational.  The
     multiplier-based value (q^l - 1)^g / |G| is reported for comparison
     but never asserted.
     """

@@ -9,6 +9,7 @@ invariant is re-validated on load with field-level error messages.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from .lattice import (
     TorsionPoint,
     is_analytic,
 )
-from .linalg import IntegerMatrix, RationalMatrix
-from .quotient import AffineAutomorphism, GroupAction
+from .linalg import IntegerMatrix
+from .quotient import GroupAction
 
 
 class ScenarioError(ValueError):
@@ -130,14 +131,16 @@ def _parse_integer_matrix(value, where: str, rows: int, cols: int) -> IntegerMat
     )
 
 
-def _parse_rational_matrix(value, where: str, rows: int, cols: int) -> RationalMatrix:
-    table = _parse_rows(value, where, rows, cols)
-    return RationalMatrix.from_rows(
-        [
-            [_parse_fraction(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(table)
-        ]
-    )
+def _parse_rational_matrix(
+    value, where: str, rows: int, cols: int
+) -> tuple[IntegerMatrix, int]:
+    """Integer numerators over the lcm of the entries' denominators."""
+    table = [
+        [_parse_fraction(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(_parse_rows(value, where, rows, cols))
+    ]
+    d = math.lcm(*(x.denominator for row in table for x in row))
+    return IntegerMatrix.from_rows([[int(x * d) for x in row] for row in table]), d
 
 
 def _parse_vector(value, where: str, length: int) -> tuple[Fraction, ...]:
@@ -162,14 +165,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     if g < 1:
         raise ScenarioError("torus.g: must be >= 1")
     n = 2 * g
-    J = None
+    J, d = None, 1
     if torus_data.get("J") is not None:
-        J = _parse_rational_matrix(torus_data["J"], "torus.J", n, n)
+        J, d = _parse_rational_matrix(torus_data["J"], "torus.J", n, n)
     S = None
     if torus_data.get("S") is not None:
         S = _parse_integer_matrix(torus_data["S"], "torus.S", n, n)
     try:
-        torus = ComplexTorus(g, complex_structure=J, riemann_form=S)
+        torus = ComplexTorus(g, complex_structure=J, riemann_form=S, complex_denominator=d)
     except ValueError as exc:
         raise ScenarioError(f"torus: {exc}") from exc
 
@@ -217,11 +220,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             shift = (Fraction(0),) * n
             if item.get("s") is not None:
                 shift = _parse_vector(item["s"], f"action[{i}].s", n)
-            try:
-                elements.append(AffineAutomorphism(linear, shift))
-            except ValueError as exc:
-                raise ScenarioError(f"action[{i}]: {exc}") from exc
-        action = GroupAction(tuple(elements))
+            elements.append(LatticeEndomorphism(linear, shift))
+        try:
+            action = GroupAction(tuple(elements))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     subvariety = None
     if data.get("subvariety") is not None:
@@ -267,15 +270,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     def int_matrix(m: IntegerMatrix) -> list[list[str]]:
         return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
-    def rat_matrix(m: RationalMatrix) -> list[list[str]]:
-        return [[str(x) for x in m.row(i)] for i in range(m.rows)]
-
     def vector(v) -> list[str]:
         return [str(x) for x in v]
 
     torus: dict = {"g": str(scenario.torus.g)}
-    if scenario.torus.complex_structure is not None:
-        torus["J"] = rat_matrix(scenario.torus.complex_structure)
+    J, d = scenario.torus.complex_structure, scenario.torus.complex_denominator
+    if J is not None:
+        torus["J"] = [[str(Fraction(x, d)) for x in J.row(i)] for i in range(J.rows)]
     if scenario.torus.riemann_form is not None:
         torus["S"] = int_matrix(scenario.torus.riemann_form)
     endo: dict = {
@@ -292,7 +293,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ]
     if scenario.action is not None:
         data["action"] = [
-            {"U": int_matrix(e.linear), "s": vector(e.translation)}
+            {"U": int_matrix(e.matrix), "s": vector(e.translation)}
             for e in scenario.action.elements
         ]
     if scenario.subvariety is not None:
@@ -323,20 +324,17 @@ def save_scenario_file(scenario: Scenario, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # builtin library
 
-J_BLOCK = RationalMatrix.from_rows([[0, -1], [1, 0]])
 S_BLOCK = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 
 
 def _cm_torus(g: int) -> ComplexTorus:
-    """Product of g square CM elliptic curves with the product Riemann form."""
-    n = 2 * g
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for b in range(g):
-        rows[2 * b][2 * b + 1] = Fraction(-1)
-        rows[2 * b + 1][2 * b] = Fraction(1)
-    J = RationalMatrix.from_rows(rows)
-    S = IntegerMatrix.block_diagonal([S_BLOCK] * g)
-    return ComplexTorus(g, complex_structure=J, riemann_form=S)
+    """Product of g square CM elliptic curves with the product Riemann form.
+
+    On each curve multiplication by i and the Riemann form are the same
+    integer block S_BLOCK.
+    """
+    blocks = IntegerMatrix.block_diagonal([S_BLOCK] * g)
+    return ComplexTorus(g, complex_structure=blocks, riemann_form=blocks)
 
 
 def multiplication_scenario(m: int, g: int = 1) -> Scenario:
@@ -404,11 +402,11 @@ def bielliptic_scenario() -> Scenario:
     """[3] on E x E with a free order-2 affine action (bielliptic shape)."""
     torus = _cm_torus(2)
     endo = LatticeEndomorphism.multiplication_by(3, 2)
-    involution = AffineAutomorphism(
+    involution = LatticeEndomorphism(
         IntegerMatrix.diagonal([1, 1, -1, -1]),
         (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)),
     )
-    action = GroupAction((AffineAutomorphism.identity(4), involution))
+    action = GroupAction((LatticeEndomorphism.identity(2), involution))
     return Scenario(
         name="bielliptic-quotient",
         torus=torus,

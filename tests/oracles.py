@@ -145,7 +145,7 @@ def orbit_partition_fractions(points, action) -> list:
         _, seed = remaining.popitem()
         cls = [seed]
         for g in action.elements:
-            image = g.apply(seed.coordinates)
+            image = g.value_at(seed.coordinates)
             if image in remaining:
                 cls.append(remaining.pop(image))
         classes.append(cls)

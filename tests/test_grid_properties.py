@@ -16,13 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdyn import (
-    AffineAutomorphism,
     GroupAction,
     IntegerMatrix,
     LatticeEndomorphism,
     TorsionPoint,
     brute_force_count,
     complementary_isogeny,
+    compose,
     count_fixed,
     enumerate_fixed,
     orbit_partition,
@@ -68,10 +68,10 @@ def free_cyclic_action(
     rank = linear.rows
     p = random_unimodular(rng, rank)
     p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
-    generator = AffineAutomorphism(p * linear * p_inv, p.apply(shift))
-    elements = [AffineAutomorphism.identity(rank)]
+    generator = LatticeEndomorphism(p * linear * p_inv, p.apply(shift))
+    elements = [LatticeEndomorphism.identity(rank // 2)]
     for _ in range(order - 1):
-        elements.append(generator.compose(elements[-1]))
+        elements.append(compose(generator, elements[-1]))
     return GroupAction(tuple(elements))
 
 
@@ -116,7 +116,7 @@ def orbit_union(rng: random.Random, action: GroupAction, count: int) -> list[Tor
     points = set()
     for _ in range(count):
         p = tuple(Fraction(rng.randrange(12), 12) for _ in range(action.rank))
-        points.update(g.apply(p) for g in action.elements)
+        points.update(g.value_at(p) for g in action.elements)
     return [TorsionPoint(p) for p in sorted(points)]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,23 +9,26 @@ from torusdyn import (
     ComplexTorus,
     IntegerMatrix,
     LatticeEndomorphism,
-    RationalMatrix,
+    Scenario,
     TorsionPoint,
     complementary_isogeny,
     compose,
     degree,
+    det,
     is_analytic,
     is_saturated,
     polarization_multiplier,
     power,
     product,
     restrict_to_sublattice,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from torusdyn.scenarios import _cm_torus
 
 from oracles import random_matrix, random_nonsingular, random_unimodular
 
-J0 = RationalMatrix.from_rows([[0, -1], [1, 0]])
+J0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 S0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 GAUSSIAN = IntegerMatrix.from_rows([[1, -1], [1, 1]])
 HALF = Fraction(1, 2)
@@ -34,15 +38,39 @@ def endo(rows, t=None):
     return LatticeEndomorphism(IntegerMatrix.from_rows(rows), t or ())
 
 
+def random_cm_structure(rng: random.Random, g: int) -> tuple[IntegerMatrix, IntegerMatrix, int]:
+    """(numerators, S, denominator) of J = P J0 P^-1 = P J0 adj(P) / det P
+    and S = adj(P)^T S0 adj(P), the structure of _cm_torus(g) carried
+    through a random nonsingular P; J^T S is then congruent to J0^T S0."""
+    base = _cm_torus(g)
+    p = random_nonsingular(rng, 2 * g)
+    hat, m = complementary_isogeny(LatticeEndomorphism(p))
+    d = det(p)
+    adj = hat.matrix * (d // m)
+    sign = 1 if d > 0 else -1
+    numerators = p * base.complex_structure * adj * sign
+    return numerators, adj.transpose() * base.riemann_form * adj, abs(d)
+
+
 class TestComplexTorus:
     def test_valid_cm_curve(self):
         torus = ComplexTorus(1, complex_structure=J0, riemann_form=S0)
         assert torus.rank == 2
 
     def test_j_must_square_to_minus_identity(self):
-        bad = RationalMatrix.from_rows([[0, 1], [1, 0]])
+        bad = IntegerMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="square to -I"):
             ComplexTorus(1, complex_structure=bad)
+        with pytest.raises(ValueError, match="square to -I"):
+            ComplexTorus(1, complex_structure=J0, complex_denominator=2)
+
+    def test_complex_denominator_checked(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            ComplexTorus(1, complex_structure=-J0, complex_denominator=-1)
+        with pytest.raises(ValueError, match="without a complex structure"):
+            ComplexTorus(1, complex_denominator=2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            ComplexTorus(1, complex_structure=J0, complex_denominator=1.0)
 
     def test_riemann_form_must_be_alternating(self):
         with pytest.raises(ValueError, match="alternating"):
@@ -58,11 +86,34 @@ class TestComplexTorus:
             ComplexTorus(1, complex_structure=J0, riemann_form=-S0)
 
     def test_positivity_with_non_integral_complex_structure(self):
-        # J^T S = [[1/2, 1/2], [1/2, 5/2]] for S = -S0: leading minors 1/2 and 1
-        j = RationalMatrix.from_rows([[HALF, Fraction(5, 2)], [-HALF, -HALF]])
-        ComplexTorus(1, complex_structure=j, riemann_form=-S0)
+        # J = [[1/2, 5/2], [-1/2, -1/2]]; J^T S = [[1/2, 1/2], [1/2, 5/2]] for
+        # S = -S0: leading minors 1/2 and 1
+        j = IntegerMatrix.from_rows([[1, 5], [-1, -1]])
+        ComplexTorus(1, complex_structure=j, riemann_form=-S0, complex_denominator=2)
         with pytest.raises(ValueError, match="positive definite"):
-            ComplexTorus(1, complex_structure=j, riemann_form=S0)
+            ComplexTorus(1, complex_structure=j, riemann_form=S0, complex_denominator=2)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_rational_complex_structure(self, seed):
+        rng = random.Random(seed)
+        g = 1 + seed % 3
+        numerators, s, d = random_cm_structure(rng, g)
+        torus = ComplexTorus(g, numerators, s, d)
+        j, e = torus.complex_structure, torus.complex_denominator
+        assert j * d == numerators * e and math.gcd(e, *j.entries) == 1
+        with pytest.raises(ValueError, match="positive definite"):
+            ComplexTorus(g, numerators, -s, d)
+        assert ComplexTorus(g, numerators * 2, s, 2 * d) == torus
+
+        scenario = Scenario("random", torus, LatticeEndomorphism.identity(g), analytic=True)
+        data = json.loads(json.dumps(scenario_to_dict(scenario)))
+        assert scenario_from_dict(data) == scenario
+
+        other = ComplexTorus(1, *random_cm_structure(rng, 1))
+        ptorus, _ = product(
+            [torus, other], [LatticeEndomorphism.identity(g), LatticeEndomorphism.identity(1)]
+        )
+        assert ptorus.complex_denominator == math.lcm(e, other.complex_denominator)
 
     def test_g_must_be_positive(self):
         with pytest.raises(ValueError):
