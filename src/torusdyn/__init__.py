@@ -23,8 +23,10 @@ from .fixpoint import (
     enumerate_fixed,
     factor_product_formula,
     growth_table,
+    iterate_determinants,
     lefschetz_number,
     periodic_subvariety_count,
+    periodic_subvariety_map,
 )
 from .intersection import (
     ExpansionComparison,

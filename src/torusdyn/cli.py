@@ -104,19 +104,22 @@ def _run_enumerate(scenario: Scenario, opts: Options) -> Report:
     )
 
 
+def _growth_rows(table) -> tuple[tuple[str, ...], ...]:
+    return tuple(
+        (str(r.l), str(r.exact_count), str(r.asymptote), str(r.ratio))
+        for r in table
+    )
+
+
 def _run_growth(scenario: Scenario, opts: Options) -> Report:
     q = _require_multiplier(scenario)
     lmax = opts.lmax if opts.lmax is not None else 10
     table = fixpoint.growth_table(scenario.endomorphism, q, scenario.torus.g, lmax)
-    rows = tuple(
-        (str(r.l), str(r.exact_count), str(r.asymptote), str(r.ratio))
-        for r in table
-    )
     return Report(
         command=_echo("growth", scenario.name, opts),
         scenario=scenario.name,
         headers=("l", "exact_count", "asymptote", "ratio"),
-        rows=rows,
+        rows=_growth_rows(table),
     )
 
 
@@ -195,23 +198,22 @@ def _run_subvariety(scenario: Scenario, opts: Options) -> Report:
         raise ScenarioError(f"scenario {scenario.name!r} declares no subvariety")
     q = _require_multiplier(scenario)
     r = sub.basis.cols // 2
-    iterates = (
-        range(1, opts.lmax + 1) if opts.lmax is not None else (opts.l,)
+    restricted = fixpoint.periodic_subvariety_map(
+        scenario.endomorphism, sub.basis, sub.translate, sub.period
     )
-    rows = []
-    for l in iterates:
-        count = fixpoint.periodic_subvariety_count(
-            scenario.endomorphism, sub.basis, sub.translate, sub.period, l
-        )
-        asymptote = q ** (r * sub.period * l)
-        rows.append(
-            (str(l), str(count), str(asymptote), str(Fraction(count, asymptote)))
-        )
+    # the restriction of M^period is polarized with multiplier q^period on
+    # a subtorus of dimension r, so its growth table is the subvariety table
+    if opts.lmax is not None:
+        table = fixpoint.growth_table(restricted, q**sub.period, r, opts.lmax)
+    else:
+        count = fixpoint.count_fixed(restricted, opts.l)
+        asymptote = q ** (r * sub.period * opts.l)
+        table = [fixpoint.GrowthRow(opts.l, count, asymptote, Fraction(count, asymptote))]
     return Report(
         command=_echo("subvariety", scenario.name, opts),
         scenario=scenario.name,
         headers=("l", "count_on_subvariety", "asymptote", "ratio"),
-        rows=tuple(rows),
+        rows=_growth_rows(table),
     )
 
 

@@ -4,7 +4,8 @@ Ground truth is the determinant count |det(M^l - I)|, valid because
 nondegenerate fixed points are simple; an enumeration path (Smith form
 congruence solving) and a brute-force grid scan provide two independent
 cross-checks.  Growth tables and comparison reports keep every value
-exact (big integers and Fractions).
+exact (big integers and Fractions); they walk the iterates with one
+matrix product per row (iterate_determinants).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,19 +88,19 @@ class EigenvalueCheck:
     roots: tuple[complex, ...]
 
 
-def _iterate_matrix_difference(
-    f: LatticeEndomorphism, l: int
-) -> tuple[IntegerMatrix, int]:
-    """K = M^l - I and det K, refusing a degenerate iterate."""
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
-    k = f.matrix**l - IntegerMatrix.identity(f.rank)
-    d = det(k)
+def _nondegenerate_count(l: int, d: int) -> int:
+    """|d| for d = det(M^l - I), refusing a degenerate iterate."""
     if d == 0:
         raise DegenerateFixedLocusError(
             f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
         )
-    return k, d
+    return abs(d)
+
+
+def _fixed_difference(m_l: IntegerMatrix, l: int) -> tuple[IntegerMatrix, int]:
+    """K = M^l - I and the count |det K|, refusing a degenerate iterate."""
+    k = m_l - IntegerMatrix.identity(m_l.rows)
+    return k, _nondegenerate_count(l, det(k))
 
 
 def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
@@ -107,9 +108,31 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
 
     Equals |det(M^l - I)|: each fixed point is simple, and a rational
     translation moves solutions around without changing how many there
-    are.
+    are.  M^l is one binary power, O(log l) products; a table over
+    l = 1..l_max goes through iterate_determinants instead, one product
+    per row.
     """
-    return abs(_iterate_matrix_difference(f, l)[1])
+    if l < 1:
+        raise ValueError("iterate must be >= 1")
+    return _fixed_difference(f.matrix**l, l)[1]
+
+
+def iterate_determinants(
+    f: LatticeEndomorphism, l_max: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (l, det(M^l - I)) for l = 1..l_max, signed and exact.
+
+    Keeps P = M^l and steps P <- P M, so the whole walk costs l_max - 1
+    matrix products and l_max determinants, not a binary power per row.
+    A zero determinant (a degenerate iterate) is yielded like any other;
+    the caller decides whether it refuses or flags it.
+    """
+    identity = IntegerMatrix.identity(f.rank)
+    m_l = f.matrix
+    for l in range(1, l_max + 1):
+        if l > 1:
+            m_l = m_l * f.matrix
+        yield l, det(m_l - identity)
 
 
 def fixed_grid(
@@ -121,10 +144,12 @@ def fixed_grid(
     a / N in (1/N)Z^n / Z^n, sorted.  Solves (M^l - I) x = -t_l by Smith
     reduction: with U K V = D the solutions are x = V y, where y_i runs
     over the d_i translates of the transformed right-hand side, so N is
-    the lcm of d_i times the denominator of that right-hand side.
+    the lcm of d_i times the denominator of that right-hand side.  M^l
+    and t_l come from one call to power.
     """
-    k, _ = _iterate_matrix_difference(f, l)
-    t_l = power(f, l).translation
+    f_l = power(f, l)
+    k, _ = _fixed_difference(f_l.matrix, l)
+    t_l = f_l.translation
     snf = smith_normal_form(k)
     rhs = snf.U.apply([-c for c in t_l])
     divisors = snf.elementary_divisors
@@ -182,8 +207,9 @@ def brute_force_count(
     coordinate, so every one of the G^n grid points is accounted for.
     Refuses (never truncates) past the budget.
     """
-    k, _ = _iterate_matrix_difference(f, l)
-    t_l = power(f, l).translation
+    f_l = power(f, l)
+    k, _ = _fixed_difference(f_l.matrix, l)
+    t_l = f_l.translation
     d_max = smith_normal_form(k).largest_divisor()
     r = math.lcm(*(c.denominator for c in t_l))
     grid = d_max * r
@@ -210,14 +236,19 @@ def brute_force_count(
 def growth_table(
     f: LatticeEndomorphism, q: int, g: int, l_max: int
 ) -> list[GrowthRow]:
-    """Exact counts for l = 1..l_max against the q^{gl} asymptote."""
+    """Exact counts for l = 1..l_max against the q^{gl} asymptote.
+
+    The rows come from iterate_determinants, one matrix product each.
+    The first degenerate iterate (det(M^l - I) = 0) raises
+    DegenerateFixedLocusError, as count_fixed would at that l.
+    """
     if q < 2:
         raise ValueError("multiplier q must be > 1")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     rows = []
-    for l in range(1, l_max + 1):
-        exact = count_fixed(f, l)
+    for l, d in iterate_determinants(f, l_max):
+        exact = _nondegenerate_count(l, d)
         asymptote = q ** (g * l)
         rows.append(GrowthRow(l, exact, asymptote, Fraction(exact, asymptote)))
     return rows
@@ -240,20 +271,20 @@ def compare_exact(
 ) -> ComparisonReport:
     """Tabulate exact counts against the simple-factor product formula.
 
-    The difference column is reported as-is; degenerate iterates are
-    flagged inline instead of aborting the report.
+    The exact column comes from iterate_determinants, one matrix product
+    per row.  The difference column is reported as-is; degenerate
+    iterates are flagged inline instead of aborting the report.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     label = "prod_i (q_i^l - 1)^(g_i * r_i)"
     rows = []
-    for l in range(1, l_max + 1):
+    for l, d in iterate_determinants(f, l_max):
         formula = factor_product_formula(factors, l)
-        try:
-            exact = count_fixed(f, l)
-        except DegenerateFixedLocusError:
+        if d == 0:
             rows.append(ComparisonRow(l, None, formula, None, degenerate=True))
             continue
+        exact = abs(d)
         rows.append(ComparisonRow(l, exact, formula, exact - formula))
     return ComparisonReport(formula_label=label, rows=tuple(rows))
 
@@ -340,6 +371,32 @@ def eigenvalue_magnitude_check(
     )
 
 
+def periodic_subvariety_map(
+    f: LatticeEndomorphism,
+    basis: IntegerMatrix,
+    translate: TorsionPoint,
+    period: int,
+) -> LatticeEndomorphism:
+    """The map f^period induces on the translate Q + B of an invariant subtorus.
+
+    Recentring at the periodic translate Q kills the affine part, so the
+    result is translation free: M' is the restriction of M^period to the
+    sublattice spanned by the basis, in basis coordinates.  Its fixed
+    points at iterate l are those of f^{period*l} on Q + B, and a table
+    over l walks M' with iterate_determinants.
+    """
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    if len(translate) != f.rank:
+        raise ValueError("translate length must match the ambient rank")
+    f_m = power(f, period)
+    image = f_m.value_at(translate.coordinates)
+    if image != translate.coordinates:
+        raise ValueError("translate is not periodic with the given period")
+    recentred = LatticeEndomorphism(f_m.matrix)
+    return restrict_to_sublattice(recentred, basis)
+
+
 def periodic_subvariety_count(
     f: LatticeEndomorphism,
     basis: IntegerMatrix,
@@ -349,20 +406,9 @@ def periodic_subvariety_count(
 ) -> int:
     """Fixed points of f^{period*l} on the translate of an invariant subtorus.
 
-    Recentring at the periodic translate Q kills the affine part, so the
-    count is |det(M'^l - I)| for M' the restriction of M^period to the
-    sublattice.
+    The count is |det(M'^l - I)| for M' the restriction of M^period to
+    the sublattice (periodic_subvariety_map).
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
     if l < 1:
         raise ValueError("iterate must be >= 1")
-    if len(translate) != f.rank:
-        raise ValueError("translate length must match the ambient rank")
-    f_m = power(f, period)
-    image = f_m.value_at(translate.coordinates)
-    if image != translate.coordinates:
-        raise ValueError("translate is not periodic with the given period")
-    recentred = LatticeEndomorphism(f_m.matrix)
-    restricted = restrict_to_sublattice(recentred, basis)
-    return count_fixed(restricted, l)
+    return count_fixed(periodic_subvariety_map(f, basis, translate, period), l)

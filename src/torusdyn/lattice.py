@@ -203,21 +203,25 @@ def compose(f: LatticeEndomorphism, h: LatticeEndomorphism) -> LatticeEndomorphi
 
 
 def power(f: LatticeEndomorphism, l: int) -> LatticeEndomorphism:
-    """l-th iterate; accumulated translation (M^{l-1} + ... + I) t.
+    """l-th iterate x -> M^l x + (M^{l-1} + ... + I) t.
 
-    l = 0 is rejected: the identity has its own constructor.
+    Binary powering with compose: O(log l) compositions, each one matrix
+    product and one translation step reduced mod Z^{2g}, so neither the
+    matrix nor the translation is walked l times and M - I is never
+    inverted.  Iterates of one map commute, so the order of each
+    composition does not matter.  l = 0 is rejected: the identity has its
+    own constructor.
     """
     if l < 1:
         raise ValueError("iterate must be >= 1")
-    matrix = f.matrix**l
-    # Geometric-series recursion t_k = M t_{k-1} + t; never inverts M - I.
-    t = f.translation
-    acc = t
-    for _ in range(l - 1):
-        acc = reduce_mod_lattice(
-            [a + b for a, b in zip(f.matrix.apply(acc), t)]
-        )
-    return LatticeEndomorphism(matrix, acc)
+    result, base = None, f
+    while True:
+        if l & 1:
+            result = base if result is None else compose(base, result)
+        l >>= 1
+        if not l:
+            return result
+        base = compose(base, base)
 
 
 def degree(f: LatticeEndomorphism) -> int:

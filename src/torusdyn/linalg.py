@@ -148,11 +148,9 @@ class IntegerMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in multiplication")
             ocols = other.cols
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(ocols):
-                    out.append(sum(ri[k] * other.entries[k * ocols + j] for k in range(self.cols)))
+            rows = [self.row(i) for i in range(self.rows)]
+            columns = [other.entries[j::ocols] for j in range(ocols)]
+            out = [sum(map(operator.mul, row, column)) for row in rows for column in columns]
             return IntegerMatrix(self.rows, ocols, tuple(out))
         if isinstance(other, int):
             return IntegerMatrix(self.rows, self.cols, tuple(a * other for a in self.entries))

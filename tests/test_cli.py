@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+from torusdyn import TorsionPoint
 from torusdyn.cli import Options, main, run_command
 from torusdyn.report import parse_csv, render_csv
-from torusdyn.scenarios import resolve_scenario, save_scenario_file
+from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +164,23 @@ class TestSubvariety:
         _, rows = parse_csv(out)
         assert rows[0] == ("1", "1", "4", "1/4")
         assert rows[2] == ("3", "49", "64", "49/64")
+
+    def test_period_two_translate(self, tmp_path, capsys):
+        # [2]^2 = [4] fixes the 3-torsion translate Q of the diagonal, so the
+        # rows count Fix([4]^l) on Q + diagonal against (q^2)^l = 16^l
+        scenario = resolve_scenario("diagonal-subvariety")
+        translate = TorsionPoint.reduce([Fraction(1, 3), 0, Fraction(1, 3), 0])
+        sub = SubvarietySpec(scenario.subvariety.basis, translate, period=2)
+        path = tmp_path / "period-two.json"
+        save_scenario_file(dataclasses.replace(scenario, subvariety=sub), path)
+        expected = [(str(l), str((4**l - 1) ** 2), str(16**l)) for l in (1, 2, 3)]
+        for opts, want in ((("--lmax", "3"), expected), (("--l", "2"), expected[1:2])):
+            code, out, err = run_cli(
+                capsys, "subvariety", "--scenario", str(path), *opts, "--format", "csv"
+            )
+            assert code == 0, err
+            _, rows = parse_csv(out)
+            assert [row[:3] for row in rows] == want
 
 
 class TestVerify:

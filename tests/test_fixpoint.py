@@ -112,6 +112,14 @@ class TestEnumerateFixed:
             for p in points:
                 assert fl.value_at(p.coordinates) == p.coordinates
 
+    def test_deep_iterate_of_finite_order_map(self):
+        f = LatticeEndomorphism(
+            IntegerMatrix.from_rows([[0, -1], [1, 0]]), (Fraction(1, 3), Fraction(0))
+        )
+        points = enumerate_fixed(f, 1)
+        assert len(points) == 2
+        assert enumerate_fixed(f, 100001) == points
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFixedLocusError):
             enumerate_fixed(LatticeEndomorphism.identity(2), 3)

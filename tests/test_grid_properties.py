@@ -4,11 +4,16 @@ Maps are M = I + R diag(d) R' with R, R' random unimodular, so that
 det(M - I) = +-prod(d) is known by construction, plus a translation of a
 random denominator.  Enumeration, the determinant count, the brute-force
 grid scan and the per-point scan of tests/oracles.py must agree, and the
-orbit classes must match the Fraction oracle.
+orbit classes must match the Fraction oracle.  The iterate walker behind
+the growth and compare tables must match det(M**l - I) row by row, also
+on maps with a finite-order block, whose iterates are degenerate
+whenever the order divides l.
 """
 
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,15 +21,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdyn import (
+    DegenerateFixedLocusError,
     GroupAction,
     IntegerMatrix,
     LatticeEndomorphism,
+    SimpleFactorSpec,
     TorsionPoint,
     brute_force_count,
+    compare_exact,
     complementary_isogeny,
     compose,
     count_fixed,
+    det,
     enumerate_fixed,
+    growth_table,
+    iterate_determinants,
     orbit_partition,
     quotient_fixed_lower_bound,
     resolve_scenario,
@@ -59,6 +70,90 @@ def fixed_point_maps(draw, rank: int) -> LatticeEndomorphism:
 
 
 any_rank_maps = st.sampled_from([2, 4]).flatmap(fixed_point_maps)
+
+
+# 2x2 integer blocks of order 1, 2, 3, 4 and 6
+FINITE_ORDER_BLOCKS = [
+    [[1, 0], [0, 1]],
+    [[-1, 0], [0, -1]],
+    [[0, -1], [1, -1]],
+    [[0, -1], [1, 0]],
+    [[1, -1], [1, 0]],
+]
+
+
+@st.composite
+def maps_with_finite_order_block(draw) -> LatticeEndomorphism:
+    """P diag(M, B) P^-1 for a random map M, a finite-order block B and a
+    random unimodular P, so the degenerate iterates are not block diagonal."""
+    f = draw(any_rank_maps)
+    block = IntegerMatrix.from_rows(draw(st.sampled_from(FINITE_ORDER_BLOCKS)))
+    matrix = IntegerMatrix.block_diagonal([f.matrix, block])
+    p = random_unimodular(random.Random(draw(seeds)), matrix.rows)
+    p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
+    return LatticeEndomorphism(p * matrix * p_inv, f.translation + (0, 0))
+
+
+iterate_maps = st.one_of(any_rank_maps, maps_with_finite_order_block())
+iterate_cases = st.tuples(iterate_maps, st.integers(1, 30))
+
+
+def power_determinants(f: LatticeEndomorphism, l_max: int) -> list[int]:
+    """det(M**l - I) for l = 1..l_max, each from its own binary power."""
+    identity = IntegerMatrix.identity(f.rank)
+    return [det(f.matrix**l - identity) for l in range(1, l_max + 1)]
+
+
+@PROPERTIES
+@given(iterate_cases)
+def test_walker_matches_binary_powers(case):
+    f, l_max = case
+    walked = list(iterate_determinants(f, l_max))
+    assert walked == list(enumerate(power_determinants(f, l_max), start=1))
+
+
+@PROPERTIES
+@given(iterate_cases)
+def test_growth_table_refuses_first_degenerate_iterate(case):
+    f, l_max = case
+    dets = power_determinants(f, l_max)
+    if 0 not in dets:
+        rows = growth_table(f, 2, 1, l_max)
+        assert [r.exact_count for r in rows] == [abs(d) for d in dets]
+        return
+    first = dets.index(0) + 1
+    with pytest.raises(DegenerateFixedLocusError, match=re.escape(f"det(M^{first} - I) = 0")):
+        growth_table(f, 2, 1, l_max)
+
+
+@PROPERTIES
+@given(iterate_cases)
+def test_compare_flags_exactly_the_degenerate_rows(case):
+    f, l_max = case
+    dets = power_determinants(f, l_max)
+    report = compare_exact(f, [SimpleFactorSpec(1, 2)], l_max)
+    assert [r.degenerate for r in report.rows] == [d == 0 for d in dets]
+    assert [r.exact_count for r in report.rows] == [abs(d) or None for d in dets]
+
+
+def test_growth_table_takes_one_product_per_row(monkeypatch):
+    gaussian = resolve_scenario("gaussian-cm").endomorphism
+    calls = Counter()
+
+    def count_calls(name):
+        original = getattr(IntegerMatrix, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(IntegerMatrix, name, counted)
+
+    count_calls("__mul__")
+    count_calls("__pow__")
+    assert len(growth_table(gaussian, 2, 1, 200)) == 200
+    assert calls["__pow__"] == 0
+    assert calls["__mul__"] <= 200 + 2
 
 
 def free_cyclic_action(

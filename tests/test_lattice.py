@@ -200,6 +200,27 @@ class TestPower:
             f = LatticeEndomorphism(random_nonsingular(rng, 4))
             assert degree(power(f, 3)) == degree(f) ** 3
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_repeated_composition(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice((2, 4))
+        denominator = rng.randint(1, 30)
+        f = LatticeEndomorphism(
+            random_matrix(rng, n, -3, 3),
+            tuple(Fraction(rng.randrange(denominator), denominator) for _ in range(n)),
+        )
+        iterate = f
+        for l in range(1, 41):
+            assert power(f, l) == iterate
+            iterate = compose(f, iterate)
+
+    def test_deep_iterate_of_finite_order_map(self):
+        # the rotation by i has order 4 and I + M + M^2 + M^3 = 0, so the
+        # translated map has order 4 as well: f^100001 = f
+        f = endo([[0, -1], [1, 0]], (Fraction(1, 3), Fraction(0)))
+        assert power(f, 100001) == f
+        assert power(f, 100000) == LatticeEndomorphism.identity(1)
+
 
 class TestDegree:
     def test_unpolarizable_product_degree(self):

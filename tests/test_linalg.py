@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,6 +31,23 @@ SUMDIFF = IntegerMatrix.from_rows(
         [0, 1, 0, -1],
     ]
 )
+
+
+def assert_smith_certificate(m: IntegerMatrix) -> None:
+    """U m V = D with U, V unimodular, a divisor chain and prod d_i = |det m|."""
+    snf = smith_normal_form(m)
+    assert snf.U * m * snf.V == snf.D
+    assert snf.D == IntegerMatrix.diagonal(snf.elementary_divisors)
+    assert abs(det(snf.U)) == 1
+    assert abs(det(snf.V)) == 1
+    ds = snf.elementary_divisors
+    assert all(d >= 0 for d in ds)
+    nonzero = [d for d in ds if d != 0]
+    # zeros trail and the chain divides
+    assert list(ds[: len(nonzero)]) == nonzero
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    assert math.prod(ds) == abs(det(m))
 
 
 class TestDeterminant:
@@ -78,23 +96,17 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, seed):
         rng = random.Random(seed)
         n = rng.choice((2, 3, 4))
-        m = random_matrix(rng, n, -6, 6)
-        snf = smith_normal_form(m)
-        assert snf.U * m * snf.V == snf.D
-        assert abs(det(snf.U)) == 1
-        assert abs(det(snf.V)) == 1
-        ds = snf.elementary_divisors
-        assert all(d >= 0 for d in ds)
-        nonzero = [d for d in ds if d != 0]
-        # zeros trail and the chain divides
-        assert list(ds[: len(nonzero)]) == nonzero
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        product = 1
-        for d in nonzero:
-            product *= d
-        if det(m) != 0:
-            assert product == abs(det(m))
+        assert_smith_certificate(random_matrix(rng, n, -6, 6))
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_random_dense_decomposition(self, n):
+        # a dense [-99, 99] matrix has divisors (1, ..., 1, |det|); the
+        # product through diag(1..n) makes the chain non-trivial
+        rng = random.Random(n)
+        a = random_matrix(rng, n, -99, 99)
+        b = random_matrix(rng, n, -99, 99)
+        assert_smith_certificate(a)
+        assert_smith_certificate(a * IntegerMatrix.diagonal(range(1, n + 1)) * b)
 
     def test_rectangular(self):
         basis = IntegerMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
