@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Subcommands: count, enumerate, growth, compare, quotient, subvariety,
-verify, scenarios.  Data goes to stdout (or --out) as a table or CSV;
-diagnostics go to stderr.  Exit codes: 0 success, 1 validation error,
-2 degenerate case or budget refusal.
+The subcommands, their help and the iterate flags each one reads are the
+entries of COMMANDS; the verify targets are the entries of CHECKS.  Data
+goes to stdout (or --out) as a table or CSV; diagnostics go to stderr.
+Exit codes: 0 success, 1 validation error, 2 degenerate case or budget
+refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import fixpoint, intersection, quotient as quotient_mod
 from .fixpoint import (
@@ -30,17 +33,6 @@ from .scenarios import (
     lift_int_digit_limit,
     resolve_scenario,
 )
-
-VERIFY_TARGETS = (
-    "polarization",
-    "serre",
-    "lefschetz",
-    "pfaffian",
-    "proddiv",
-    "dual-isogeny",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class Options:
@@ -65,134 +57,89 @@ def _require_multiplier(scenario: Scenario) -> int:
 
 
 def _echo(command: str, scenario_name: str, opts: Options) -> str:
-    parts = [command, f"--scenario {scenario_name}"]
-    if opts.lmax is not None:
-        parts.append(f"--lmax {opts.lmax}")
-    else:
-        parts.append(f"--l {opts.l}")
-    return " ".join(parts)
+    if command == "verify":
+        return f"verify {opts.target} --scenario {scenario_name}"
+    iterate = f"--lmax {opts.lmax}" if opts.lmax is not None else f"--l {opts.l}"
+    return f"{command} --scenario {scenario_name} {iterate}"
 
 
-def _run_count(scenario: Scenario, opts: Options) -> Report:
-    value = fixpoint.count_fixed(scenario.endomorphism, opts.l)
-    return Report(
-        command=_echo("count", scenario.name, opts),
-        scenario=scenario.name,
-        headers=("l", "fixed_points"),
-        rows=((str(opts.l), str(value)),),
-    )
-
-
-def _run_enumerate(scenario: Scenario, opts: Options) -> Report:
-    count = fixpoint.count_fixed(scenario.endomorphism, opts.l)
-    if count > opts.budget:
-        raise BudgetExceededError(
-            f"enumerating {count} fixed points exceeds budget {opts.budget}"
-        )
-    points = fixpoint.enumerate_fixed(scenario.endomorphism, opts.l)
-    n = scenario.torus.rank
-    headers = ("index",) + tuple(f"x{i + 1}" for i in range(n))
-    rows = tuple(
-        (str(i),) + tuple(str(c) for c in p.coordinates)
-        for i, p in enumerate(points)
-    )
-    return Report(
-        command=_echo("enumerate", scenario.name, opts),
-        scenario=scenario.name,
-        headers=headers,
-        rows=rows,
-    )
+def _strings(*cells) -> tuple[str, ...]:
+    return tuple(map(str, cells))
 
 
 def _growth_rows(table) -> tuple[tuple[str, ...], ...]:
-    return tuple(
-        (str(r.l), str(r.exact_count), str(r.asymptote), str(r.ratio))
-        for r in table
-    )
+    return tuple(_strings(r.l, r.exact_count, r.asymptote, r.ratio) for r in table)
 
 
-def _run_growth(scenario: Scenario, opts: Options) -> Report:
+# Each runner returns (headers, rows[, warnings[, notes]]) for run_command
+# to wrap in a Report.
+
+
+def _run_count(scenario: Scenario, opts: Options):
+    value = fixpoint.count_fixed(scenario.endomorphism, opts.l)
+    return ("l", "fixed_points"), (_strings(opts.l, value),)
+
+
+def _run_enumerate(scenario: Scenario, opts: Options):
+    points = fixpoint.enumerate_fixed(scenario.endomorphism, opts.l, opts.budget)
+    headers = ("index",) + tuple(f"x{i + 1}" for i in range(scenario.torus.rank))
+    return headers, tuple(_strings(i, *p.coordinates) for i, p in enumerate(points))
+
+
+def _run_growth(scenario: Scenario, opts: Options):
     q = _require_multiplier(scenario)
     lmax = opts.lmax if opts.lmax is not None else 10
     table = fixpoint.growth_table(scenario.endomorphism, q, scenario.torus.g, lmax)
-    return Report(
-        command=_echo("growth", scenario.name, opts),
-        scenario=scenario.name,
-        headers=("l", "exact_count", "asymptote", "ratio"),
-        rows=_growth_rows(table),
-    )
+    return ("l", "exact_count", "asymptote", "ratio"), _growth_rows(table)
 
 
-def _run_compare(scenario: Scenario, opts: Options) -> Report:
+def _run_compare(scenario: Scenario, opts: Options):
     if not scenario.factors:
         raise ScenarioError(
             f"scenario {scenario.name!r} declares no simple factors to compare against"
         )
     lmax = opts.lmax if opts.lmax is not None else 10
     report = fixpoint.compare_exact(scenario.endomorphism, scenario.factors, lmax)
-    warnings = []
-    rows = []
-    for row in report.rows:
-        if row.degenerate:
-            warnings.append(f"l = {row.l}: degenerate (det(M^l - I) = 0), count omitted")
-            rows.append((str(row.l), "degenerate", str(row.formula_value), ""))
-        else:
-            rows.append(
-                (
-                    str(row.l),
-                    str(row.exact_count),
-                    str(row.formula_value),
-                    str(row.difference),
-                )
-            )
-    return Report(
-        command=_echo("compare", scenario.name, opts),
-        scenario=scenario.name,
-        headers=("l", "exact_count", "formula_value", "difference"),
-        rows=tuple(rows),
-        warnings=tuple(warnings),
-        notes=(f"formula: {report.formula_label}",),
+    rows = tuple(
+        _strings(r.l, "degenerate", r.formula_value, "")
+        if r.degenerate
+        else _strings(r.l, r.exact_count, r.formula_value, r.difference)
+        for r in report.rows
     )
+    warnings = tuple(
+        f"l = {r.l}: degenerate (det(M^l - I) = 0), count omitted"
+        for r in report.rows
+        if r.degenerate
+    )
+    headers = ("l", "exact_count", "formula_value", "difference")
+    return headers, rows, warnings, (f"formula: {report.formula_label}",)
 
 
-def _run_quotient(scenario: Scenario, opts: Options) -> Report:
+def _run_quotient(scenario: Scenario, opts: Options):
     if scenario.action is None:
         raise ScenarioError(f"scenario {scenario.name!r} declares no group action")
     q = _require_multiplier(scenario)
     iterates = (
         range(1, opts.lmax + 1) if opts.lmax is not None else (opts.l,)
     )
-    rows = []
-    for l in iterates:
-        bound = quotient_mod.quotient_fixed_lower_bound(
+    bounds = [
+        quotient_mod.quotient_fixed_lower_bound(
             scenario.endomorphism, scenario.action, q, l, budget=opts.budget
         )
-        rows.append(
-            (
-                str(l),
-                str(bound.upstairs_count),
-                str(bound.group_order),
-                str(bound.orbit_count),
-                str(bound.lower_bound),
-                str(bound.formula_bound),
-            )
-        )
-    return Report(
-        command=_echo("quotient", scenario.name, opts),
-        scenario=scenario.name,
-        headers=(
-            "l",
-            "upstairs_count",
-            "group_order",
-            "orbit_count",
-            "lower_bound",
-            "formula_bound",
-        ),
-        rows=tuple(rows),
+        for l in iterates
+    ]
+    headers = (
+        "l",
+        "upstairs_count",
+        "group_order",
+        "orbit_count",
+        "lower_bound",
+        "formula_bound",
     )
+    return headers, tuple(_strings(*(getattr(b, h) for h in headers)) for b in bounds)
 
 
-def _run_subvariety(scenario: Scenario, opts: Options) -> Report:
+def _run_subvariety(scenario: Scenario, opts: Options):
     sub = scenario.subvariety
     if sub is None:
         raise ScenarioError(f"scenario {scenario.name!r} declares no subvariety")
@@ -209,63 +156,62 @@ def _run_subvariety(scenario: Scenario, opts: Options) -> Report:
         count = fixpoint.count_fixed(restricted, opts.l)
         asymptote = q ** (r * sub.period * opts.l)
         table = [fixpoint.GrowthRow(opts.l, count, asymptote, Fraction(count, asymptote))]
-    return Report(
-        command=_echo("subvariety", scenario.name, opts),
-        scenario=scenario.name,
-        headers=("l", "count_on_subvariety", "asymptote", "ratio"),
-        rows=_growth_rows(table),
-    )
+    return ("l", "count_on_subvariety", "asymptote", "ratio"), _growth_rows(table)
 
 
-def _verify_polarization(scenario: Scenario) -> tuple[str, str]:
+# Each check returns its rows as (label suffix, status, detail); the row
+# is labelled with the target's name followed by the suffix.
+
+
+def _status(passed: bool) -> str:
+    return "pass" if passed else "fail"
+
+
+def _verify_polarization(scenario: Scenario, opts: Options):
     if scenario.torus.riemann_form is None:
         raise ScenarioError("no Riemann form")
     q = polarization_multiplier(scenario.endomorphism, scenario.torus)
-    deg = degree(scenario.endomorphism)
-    if q is None:
-        return "ok", f"degree = {deg}; no multiplier (blocks scale unequally)"
-    return "ok", f"degree = {deg}; q = {q}"
+    scale = "no multiplier (blocks scale unequally)" if q is None else f"q = {q}"
+    return [("", "ok", f"degree = {degree(scenario.endomorphism)}; {scale}")]
 
 
-def _verify_serre(scenario: Scenario, opts: Options) -> tuple[str, str]:
+def _verify_serre(scenario: Scenario, opts: Options):
     q = _require_multiplier(scenario)
     check = fixpoint.eigenvalue_magnitude_check(
         scenario.endomorphism, q, opts.tolerance
     )
-    status = "pass" if check.passed else "fail"
-    return status, (
+    return [(
+        "",
+        _status(check.passed),
         f"q = {check.q}; max | |root|^2 - q | = {check.max_residual:.3e};"
-        f" tolerance {check.tolerance:.1e}"
-    )
+        f" tolerance {check.tolerance:.1e}",
+    )]
 
 
-def _verify_lefschetz(scenario: Scenario, opts: Options) -> tuple[str, str]:
+def _verify_lefschetz(scenario: Scenario, opts: Options):
     lef = fixpoint.lefschetz_number(scenario.endomorphism, opts.l)
     count = fixpoint.count_fixed(scenario.endomorphism, opts.l)
-    status = "pass" if abs(lef) == count else "fail"
-    return status, f"l = {opts.l}; lefschetz = {lef}; fixed points = {count}"
+    detail = f"l = {opts.l}; lefschetz = {lef}; fixed points = {count}"
+    return [("", _status(abs(lef) == count), detail)]
 
 
-def _verify_pfaffian(scenario: Scenario) -> tuple[str, str]:
+def _verify_pfaffian(scenario: Scenario, opts: Options):
     S = scenario.torus.riemann_form
     if S is None:
         raise ScenarioError("no Riemann form")
     check = intersection.pullback_degree_check(scenario.endomorphism.matrix, S)
-    status = "pass" if check.passed else "fail"
-    return status, (
-        f"Pf(M^T S M) = {check.lhs}; det(M) Pf(S) = {check.rhs}"
-    )
+    detail = f"Pf(M^T S M) = {check.lhs}; det(M) Pf(S) = {check.rhs}"
+    return [("", _status(check.passed), detail)]
 
 
-def _verify_proddiv() -> list[tuple[str, str, str]]:
+def _verify_proddiv(scenario: Scenario, opts: Options):
     rows = []
     for r, n in ((2, 1), (3, 1), (2, 2)):
         comp = intersection.compare_expansion_readings(r, n)
-        status = "pass" if comp.expansion_coefficient == comp.multinomial else "fail"
         rows.append(
             (
-                f"proddiv r={r} n={n}",
-                status,
+                f" r={r} n={n}",
+                _status(comp.expansion_coefficient == comp.multinomial),
                 f"expansion = {comp.expansion_coefficient};"
                 f" r!^n reading = {comp.factorial_power};"
                 f" multinomial = {comp.multinomial}",
@@ -274,86 +220,75 @@ def _verify_proddiv() -> list[tuple[str, str, str]]:
     return rows
 
 
-def _verify_dual_isogeny(scenario: Scenario) -> tuple[str, str]:
+def _verify_dual_isogeny(scenario: Scenario, opts: Options):
     f = scenario.endomorphism
     hat, m = complementary_isogeny(f)
-    n = f.rank
-    ok = (
-        hat.matrix * f.matrix == IntegerMatrix.scalar(n, m)
-        and f.matrix * hat.matrix == IntegerMatrix.scalar(n, m)
-    )
-    status = "pass" if ok else "fail"
-    return status, f"m = {m}; deg = {degree(f)}; deg-hat = {degree(hat)}"
+    scalar = IntegerMatrix.scalar(f.rank, m)
+    ok = hat.matrix * f.matrix == scalar and f.matrix * hat.matrix == scalar
+    return [("", _status(ok), f"m = {m}; deg = {degree(f)}; deg-hat = {degree(hat)}")]
 
 
-def _run_verify(scenario: Scenario, opts: Options) -> Report:
-    target = opts.target
+CHECKS = {
+    "polarization": _verify_polarization,
+    "serre": _verify_serre,
+    "lefschetz": _verify_lefschetz,
+    "pfaffian": _verify_pfaffian,
+    "proddiv": _verify_proddiv,
+    "dual-isogeny": _verify_dual_isogeny,
+}
+VERIFY_TARGETS = (*CHECKS, "all")
+
+
+def _run_verify(scenario: Scenario, opts: Options):
     rows: list[tuple[str, str, str]] = []
     warnings: list[str] = []
-
-    def attempt(name: str, thunk):
+    for name, check in CHECKS.items():
+        if opts.target not in (name, "all"):
+            continue
         try:
-            status, detail = thunk()
-            rows.append((name, status, detail))
-        except (ScenarioError, DegenerateFixedLocusError, ValueError) as exc:
-            if target != "all":
+            rows += [(name + suffix, *rest) for suffix, *rest in check(scenario, opts)]
+        except ValueError as exc:  # ScenarioError and degenerate iterates too
+            if opts.target != "all":
                 raise
             warnings.append(f"{name}: skipped ({exc})")
-
-    if target in ("polarization", "all"):
-        attempt("polarization", lambda: _verify_polarization(scenario))
-    if target in ("serre", "all"):
-        attempt("serre", lambda: _verify_serre(scenario, opts))
-    if target in ("lefschetz", "all"):
-        attempt("lefschetz", lambda: _verify_lefschetz(scenario, opts))
-    if target in ("pfaffian", "all"):
-        attempt("pfaffian", lambda: _verify_pfaffian(scenario))
-    if target in ("proddiv", "all"):
-        rows.extend(_verify_proddiv())
-    if target in ("dual-isogeny", "all"):
-        attempt("dual-isogeny", lambda: _verify_dual_isogeny(scenario))
-    return Report(
-        command=f"verify {target} --scenario {scenario.name}",
-        scenario=scenario.name,
-        headers=("check", "status", "detail"),
-        rows=tuple(rows),
-        warnings=tuple(warnings),
-    )
+    return ("check", "status", "detail"), tuple(rows), tuple(warnings)
 
 
-def _run_scenarios() -> Report:
-    rows = tuple(
-        (name, description) for name, description in BUILTIN_DESCRIPTIONS.items()
-    )
-    return Report(
-        command="scenarios",
-        scenario="-",
-        headers=("name", "description"),
-        rows=rows,
-    )
+class Command(NamedTuple):
+    help: str
+    run: Callable | None
+    reads: tuple[str, ...]  # which of the iterate flags --l / --lmax it uses
+
+
+COMMANDS = {
+    "count": Command("count fixed points of f^l", _run_count, ("l",)),
+    "enumerate": Command("list fixed points of f^l", _run_enumerate, ("l",)),
+    "growth": Command("exact counts against q^(g l)", _run_growth, ("lmax",)),
+    "compare": Command(
+        "exact counts against the factor formula", _run_compare, ("lmax",)
+    ),
+    "quotient": Command(
+        "orbit counts and the |G|-to-1 lower bound", _run_quotient, ("l", "lmax")
+    ),
+    "subvariety": Command(
+        "counts on an invariant subtorus translate", _run_subvariety, ("l", "lmax")
+    ),
+    "verify": Command("run identity checks against a scenario", _run_verify, ("l",)),
+    "scenarios": Command("list builtin scenarios", None, ()),
+}
 
 
 def run_command(command: str, scenario: Scenario | None, opts: Options) -> Report:
     """Dispatch a subcommand on a validated scenario."""
     if command == "scenarios":
-        return _run_scenarios()
+        rows = tuple(BUILTIN_DESCRIPTIONS.items())
+        return Report("scenarios", "-", ("name", "description"), rows)
     if scenario is None:
         raise ScenarioError("this command needs --scenario")
-    if command == "count":
-        return _run_count(scenario, opts)
-    if command == "enumerate":
-        return _run_enumerate(scenario, opts)
-    if command == "growth":
-        return _run_growth(scenario, opts)
-    if command == "compare":
-        return _run_compare(scenario, opts)
-    if command == "quotient":
-        return _run_quotient(scenario, opts)
-    if command == "subvariety":
-        return _run_subvariety(scenario, opts)
-    if command == "verify":
-        return _run_verify(scenario, opts)
-    raise ScenarioError(f"unknown command {command!r}")
+    if command not in COMMANDS:
+        raise ScenarioError(f"unknown command {command!r}")
+    result = COMMANDS[command].run(scenario, opts)
+    return Report(_echo(command, scenario.name, opts), scenario.name, *result)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -390,21 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "for endomorphisms of lattice tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("count", parents=[common], help="count fixed points of f^l")
-    sub.add_parser("enumerate", parents=[common], help="list fixed points of f^l")
-    sub.add_parser("growth", parents=[common], help="exact counts against q^(g l)")
-    sub.add_parser(
-        "compare", parents=[common], help="exact counts against the factor formula"
-    )
-    sub.add_parser(
-        "quotient", parents=[common], help="orbit counts and the |G|-to-1 lower bound"
-    )
-    sub.add_parser(
-        "subvariety", parents=[common], help="counts on an invariant subtorus translate"
-    )
-    verify = sub.add_parser(
-        "verify", parents=[common], help="run identity checks against a scenario"
-    )
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=command.help)
+    verify = sub.choices["verify"]
     verify.add_argument(
         "target",
         nargs="?",
@@ -415,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--all", action="store_true", help="run every applicable check"
     )
-    sub.add_parser("scenarios", parents=[common], help="list builtin scenarios")
     return parser
 
 
@@ -424,18 +346,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # positional verify target wins; --all is a spelled-out synonym of the default
         opts = Options(
-            l=args.l if args.l is not None else 1,
+            l=args.l or 1,
             lmax=args.lmax,
             budget=args.budget,
             tolerance=args.tolerance,
             target=getattr(args, "target", "all"),
         )
-        if args.l is not None and args.l < 1:
-            raise ScenarioError("--l must be >= 1")
-        if args.lmax is not None and args.lmax < 1:
-            raise ScenarioError("--lmax must be >= 1")
+        for flag in ("l", "lmax"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                raise ScenarioError(f"--{flag} must be >= 1")
+            if value is not None and flag not in COMMANDS[args.command].reads:
+                raise ScenarioError(f"{args.command} does not read --{flag}")
+        # --all is a spelled-out synonym of the default target, never a second one
+        if getattr(args, "all", False) and opts.target != "all":
+            raise ScenarioError(f"--all cannot be combined with target {opts.target}")
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise ScenarioError("--tolerance must be finite and >= 0")
+        if args.budget < 1:
+            raise ScenarioError("--budget must be >= 1")
         scenario = None
         if args.scenario is not None:
             scenario = resolve_scenario(args.scenario)

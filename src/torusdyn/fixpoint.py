@@ -136,7 +136,7 @@ def iterate_determinants(
 
 
 def fixed_grid(
-    f: LatticeEndomorphism, l: int = 1
+    f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Fix(f^l) as integer numerators over one shared denominator N.
 
@@ -146,9 +146,19 @@ def fixed_grid(
     over the d_i translates of the transformed right-hand side, so N is
     the lcm of d_i times the denominator of that right-hand side.  M^l
     and t_l come from one call to power.
+
+    The point count |det(M^l - I)| is known before any point is built:
+    past the budget the call raises BudgetExceededError right after that
+    determinant, before the Smith form and the grid walk.  The walk must
+    produce exactly that many points (the Smith divisors multiply to the
+    Bareiss determinant); anything else raises AssertionError.
     """
     f_l = power(f, l)
-    k, _ = _fixed_difference(f_l.matrix, l)
+    k, count = _fixed_difference(f_l.matrix, l)
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumerating {count} fixed points exceeds budget {budget}"
+        )
     t_l = f_l.translation
     snf = smith_normal_form(k)
     rhs = snf.U.apply([-c for c in t_l])
@@ -171,18 +181,25 @@ def fixed_grid(
             for point in points
             for vec in axis
         ]
+    if len(points) != count:
+        raise AssertionError(
+            f"{len(points)} grid points but |det(M^{l} - I)| = {count}"
+        )
     points.sort()
     return common, points
 
 
-def enumerate_fixed(f: LatticeEndomorphism, l: int = 1) -> list[TorsionPoint]:
+def enumerate_fixed(
+    f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
+) -> list[TorsionPoint]:
     """All fixed points of f^l, as canonical torsion points, sorted.
 
     The points come from fixed_grid as integer numerators over a shared
     denominator N; they become TorsionPoints only here, one Fraction per
-    distinct numerator.
+    distinct numerator.  More than budget points are refused with
+    BudgetExceededError before any is built, as in fixed_grid.
     """
-    common, numerators = fixed_grid(f, l)
+    common, numerators = fixed_grid(f, l, budget)
     residues: dict[int, Fraction] = {}
     for point in numerators:
         for v in point:
@@ -347,10 +364,13 @@ def eigenvalue_magnitude_check(
 
     Roots are isolated numerically on the square-free part of the
     characteristic polynomial; the achieved residual is reported either
-    way.
+    way.  The tolerance must be finite and >= 0: an infinite one would
+    pass every map.
     """
     if q < 2:
         raise ValueError("multiplier q must be > 1")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError("tolerance must be finite and >= 0")
     p = charpoly(f.matrix)
     reduced = _squarefree_part(p)
     try:

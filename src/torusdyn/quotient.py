@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fixpoint import BudgetExceededError, DEFAULT_BUDGET, count_fixed, fixed_grid
+from .fixpoint import DEFAULT_BUDGET, fixed_grid
 from .lattice import LatticeEndomorphism, TorsionPoint, compose
 from .linalg import IntegerMatrix, det, smith_normal_form
 
@@ -219,10 +219,12 @@ def quotient_fixed_lower_bound(
 
     The fixed set is taken from fixed_grid as integer numerators over one
     shared denominator and its orbits are counted on that grid, so no
-    TorsionPoint or Fraction is built per point.  The asserted inequality
-    is orbit_count >= |Fix(f^l)| / |G| (the at-most-|G|-to-1 projection
-    argument), kept as an exact rational.  The
-    multiplier-based value (q^l - 1)^g / |G| is reported for comparison
+    TorsionPoint or Fraction is built per point.  fixed_grid refuses a
+    set larger than the budget and checks that it has |det(M^l - I)|
+    points, so the upstairs count is the length of that set.  The
+    asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
+    at-most-|G|-to-1 projection argument), kept as an exact rational.
+    The multiplier-based value (q^l - 1)^g / |G| is reported for comparison
     but never asserted.
     """
     report = validate_action(action)
@@ -231,12 +233,8 @@ def quotient_fixed_lower_bound(
     lift = lift_compatibility(f, action)
     if not lift.compatible:
         raise ValueError("endomorphism does not descend: " + "; ".join(lift.failures))
-    upstairs = count_fixed(f, l)
-    if upstairs > budget:
-        raise BudgetExceededError(
-            f"enumerating {upstairs} fixed points exceeds budget {budget}"
-        )
-    common, points = fixed_grid(f, l)
+    common, points = fixed_grid(f, l, budget)
+    upstairs = len(points)
     orbit_count = len(_grid_classes(common, points, action))
     order = len(action)
     bound = Fraction(upstairs, order)

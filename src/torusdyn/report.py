@@ -45,9 +45,11 @@ def render_csv(report: Report) -> str:
     """Pure data stream: header row then one row per record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.headers)
-    for row in report.rows:
-        writer.writerow(row)
+    # under a "\n" terminator csv leaves a lone "\r" unquoted, and the
+    # reader would take it for a line end; such a row is quoted in full
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in (report.headers, *report.rows):
+        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
     return buf.getvalue()
 
 

@@ -3,10 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdyn import TorsionPoint
-from torusdyn.cli import Options, main, run_command
-from torusdyn.report import parse_csv, render_csv
+from torusdyn.cli import COMMANDS, Options, main, run_command
+from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
 
 
@@ -213,6 +215,13 @@ class TestVerify:
         assert "degree = 16" in out
         assert "skipped" in err
 
+    def test_single_inapplicable_target_is_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "serre", "--scenario", "unpolarizable-1x4"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: scenario 'unpolarizable-1x4' is not polarized (no multiplier q > 1)\n"
+
 
 class TestExitCodes:
     def test_degenerate_is_2(self, capsys):
@@ -258,12 +267,75 @@ class TestExitCodes:
         assert code == 1
         assert "invalid" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "serre", "--scenario", "gaussian-cm", "--tolerance", "inf"),
+            ("verify", "serre", "--scenario", "gaussian-cm", "--tolerance", "nan"),
+            ("verify", "serre", "--scenario", "gaussian-cm", "--tolerance", "-1"),
+            ("enumerate", "--scenario", "mult-by-3", "--budget", "0"),
+            ("enumerate", "--scenario", "mult-by-3", "--budget", "-1"),
+        ],
+    )
+    def test_out_of_range_value_is_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {argv[-2]} must be")
+
     def test_bad_verify_target_is_1(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "no-such-target", "--scenario", "mult-by-2"
         )
         assert code == 1
         assert "invalid choice" in err
+
+
+# a scenario each command runs on, and the iterates its CSV rows report
+SCENARIO_FOR = {
+    "count": "mult-by-2",
+    "enumerate": "mult-by-2",
+    "growth": "mult-by-2",
+    "compare": "mult-by-2",
+    "quotient": "bielliptic-quotient",
+    "subvariety": "diagonal-subvariety",
+    "verify": "mult-by-2",
+}
+
+
+def shown_iterates(command, rows):
+    if command == "enumerate":  # [2]^l on an elliptic curve: (2^l - 1)^2 points
+        return [l for l in range(1, 10) if (2**l - 1) ** 2 == len(rows)]
+    if command == "verify":
+        return [int(d.split(";")[0].removeprefix("l = ")) for c, _, d in rows if c == "lefschetz"]
+    return [int(row[0]) for row in rows]
+
+
+class TestIterateFlags:
+    def test_every_command_has_a_case(self):
+        assert set(SCENARIO_FOR) == set(COMMANDS) - {"scenarios"}
+
+    @pytest.mark.parametrize("flag", ("l", "lmax"))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flag_is_read_or_refused(self, capsys, command, flag):
+        argv = [command, f"--{flag}", "2"]
+        if command in SCENARIO_FOR:
+            argv += ["--scenario", SCENARIO_FOR[command]]
+        code, out, err = run_cli(capsys, *argv)
+        if flag not in COMMANDS[command].reads:
+            assert (code, out, err) == (1, "", f"error: {command} does not read --{flag}\n")
+            return
+        assert code == 0, err
+        if command != "verify":  # the verify echo names its target, not an iterate
+            echo = out.splitlines()[0]
+            assert echo.endswith(f" --{flag} 2"), echo
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert shown_iterates(command, parse_csv(out)[1]) == ([2] if flag == "l" else [1, 2])
+
+    def test_all_flag_with_another_target_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "serre", "--all", "--scenario", "gaussian-cm")
+        assert (code, out) == (1, "")
+        assert "--all" in err
 
 
 class TestScenariosCommand:
@@ -279,6 +351,13 @@ class TestScenariosCommand:
             "mult-by-<m>",
         ):
             assert name in out
+
+
+# any text, weighted towards the characters CSV has to quote
+CELLS = st.text(
+    st.one_of(st.sampled_from(',"\n\r '), st.characters(exclude_categories=("Cs",))),
+    max_size=6,
+)
 
 
 class TestCsvRoundTrip:
@@ -298,6 +377,20 @@ class TestCsvRoundTrip:
         headers, rows = parse_csv(render_csv(report))
         assert headers == report.headers
         assert rows == report.rows
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.tuples(
+                st.tuples(*[CELLS] * width),
+                st.lists(st.tuples(*[CELLS] * width), max_size=4),
+            )
+        )
+    )
+    def test_random_cells_survive(self, table):
+        headers, rows = table
+        report = Report("command", "scenario", headers, tuple(rows))
+        assert parse_csv(render_csv(report)) == (headers, tuple(rows))
 
 
 class TestOutputFile:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from torusdyn import (
     brute_force_count,
     compare_exact,
     count_fixed,
+    det,
     eigenvalue_magnitude_check,
     enumerate_fixed,
     factor_product_formula,
+    fixpoint,
     growth_table,
     lefschetz_number,
     periodic_subvariety_count,
@@ -123,6 +126,29 @@ class TestEnumerateFixed:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFixedLocusError):
             enumerate_fixed(LatticeEndomorphism.identity(2), 3)
+
+    def test_budget_refused_before_smith_form(self, monkeypatch):
+        smith_calls = []
+        monkeypatch.setattr(
+            fixpoint, "smith_normal_form", lambda k: smith_calls.append(k)
+        )
+        # [2]^5 on g = 2 has 31^4 = 923,521 fixed points
+        with pytest.raises(
+            BudgetExceededError,
+            match="^enumerating 923521 fixed points exceeds budget 923520$",
+        ):
+            enumerate_fixed(mult(2, 2), 5, budget=923520)
+        with pytest.raises(BudgetExceededError):  # 63^4 > DEFAULT_BUDGET
+            fixpoint.fixed_grid(mult(2, 2), 6)
+        assert smith_calls == []
+
+    def test_budget_is_inclusive(self):
+        assert len(enumerate_fixed(mult(3), 2, budget=64)) == 64
+
+    def test_grid_checked_against_determinant(self, monkeypatch):
+        monkeypatch.setattr(fixpoint, "det", lambda k: 2 * det(k))
+        with pytest.raises(AssertionError, match="grid points"):
+            fixpoint.fixed_grid(mult(3), 1)
 
 
 class TestBruteForce:
@@ -290,6 +316,13 @@ class TestEigenvalueMagnitude:
         check = eigenvalue_magnitude_check(f, 4)
         assert not check.passed
         assert check.max_residual >= 1.0
+
+    @pytest.mark.parametrize("tolerance", (math.inf, math.nan, -1.0))
+    def test_tolerance_that_proves_nothing_rejected(self, tolerance):
+        # an infinite tolerance would pass the map above, which fails
+        f = LatticeEndomorphism(IntegerMatrix.diagonal([2, 3]))
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            eigenvalue_magnitude_check(f, 4, tolerance)
 
 
 class TestPeriodicSubvariety:

@@ -161,6 +161,16 @@ class TestCharpoly:
             i_minus = IntegerMatrix.identity(n) - m
             assert p(1) == det_cofactor(i_minus.to_lists())
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+    def test_coefficients_are_principal_minor_traces(self, n):
+        # det(xI - m) = sum_k (-1)^k tr(wedge^k m) x^(n-k)
+        rng = random.Random(300 + n)
+        for _ in range(8):
+            m = random_matrix(rng, n, -9, 9)
+            rows = m.to_lists()
+            expected = [(-1) ** k * principal_minor_trace(rows, k) for k in range(n + 1)]
+            assert charpoly(m).coefficients == tuple(reversed(expected))
+
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareMatrixError):
             charpoly(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
