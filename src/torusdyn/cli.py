@@ -1,7 +1,7 @@
 """Command-line front end.
 
-The subcommands, their help and the iterate flags each one reads are the
-entries of COMMANDS; the verify targets are the entries of CHECKS.  Data
+The subcommands, their help and the flags each one reads are the entries
+of COMMANDS; the verify targets are the entries of CHECKS.  Data
 goes to stdout (or --out) as a table or CSV; diagnostics go to stderr.
 Exit codes: 0 success, 1 validation error, 2 degenerate case or budget
 refusal.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -56,11 +56,23 @@ def _require_multiplier(scenario: Scenario) -> int:
     return q
 
 
+DEFAULT_LMAX = 10  # rows of a growth or compare table without --lmax
+
+
 def _echo(command: str, scenario_name: str, opts: Options) -> str:
-    if command == "verify":
-        return f"verify {opts.target} --scenario {scenario_name}"
-    iterate = f"--lmax {opts.lmax}" if opts.lmax is not None else f"--l {opts.l}"
-    return f"{command} --scenario {scenario_name} {iterate}"
+    """The command line that reproduces this run's stdout."""
+    reads = COMMANDS[command].reads
+    words = [command, opts.target] if command == "verify" else [command]
+    words += ["--scenario", scenario_name]
+    if opts.lmax is not None and "lmax" in reads:
+        words += ["--lmax", str(opts.lmax)]
+    else:
+        words += ["--l", str(opts.l)]
+    for flag in ("budget", "tolerance"):
+        value = getattr(opts, flag)
+        if flag in reads and value != getattr(Options, flag):
+            words += [f"--{flag}", repr(value)]
+    return " ".join(words)
 
 
 def _strings(*cells) -> tuple[str, ...]:
@@ -88,8 +100,7 @@ def _run_enumerate(scenario: Scenario, opts: Options):
 
 def _run_growth(scenario: Scenario, opts: Options):
     q = _require_multiplier(scenario)
-    lmax = opts.lmax if opts.lmax is not None else 10
-    table = fixpoint.growth_table(scenario.endomorphism, q, scenario.torus.g, lmax)
+    table = fixpoint.growth_table(scenario.endomorphism, q, scenario.torus.g, opts.lmax)
     return ("l", "exact_count", "asymptote", "ratio"), _growth_rows(table)
 
 
@@ -98,8 +109,7 @@ def _run_compare(scenario: Scenario, opts: Options):
         raise ScenarioError(
             f"scenario {scenario.name!r} declares no simple factors to compare against"
         )
-    lmax = opts.lmax if opts.lmax is not None else 10
-    report = fixpoint.compare_exact(scenario.endomorphism, scenario.factors, lmax)
+    report = fixpoint.compare_exact(scenario.endomorphism, scenario.factors, opts.lmax)
     rows = tuple(
         _strings(r.l, "degenerate", r.formula_value, "")
         if r.degenerate
@@ -257,24 +267,45 @@ def _run_verify(scenario: Scenario, opts: Options):
 class Command(NamedTuple):
     help: str
     run: Callable | None
-    reads: tuple[str, ...]  # which of the iterate flags --l / --lmax it uses
+    reads: tuple[str, ...]  # which of --scenario and the FLAG_RANGES flags it uses
 
 
 COMMANDS = {
-    "count": Command("count fixed points of f^l", _run_count, ("l",)),
-    "enumerate": Command("list fixed points of f^l", _run_enumerate, ("l",)),
-    "growth": Command("exact counts against q^(g l)", _run_growth, ("lmax",)),
+    "count": Command("count fixed points of f^l", _run_count, ("scenario", "l")),
+    "enumerate": Command(
+        "list fixed points of f^l", _run_enumerate, ("scenario", "l", "budget")
+    ),
+    "growth": Command(
+        "exact counts against q^(g l)", _run_growth, ("scenario", "lmax")
+    ),
     "compare": Command(
-        "exact counts against the factor formula", _run_compare, ("lmax",)
+        "exact counts against the factor formula", _run_compare, ("scenario", "lmax")
     ),
     "quotient": Command(
-        "orbit counts and the |G|-to-1 lower bound", _run_quotient, ("l", "lmax")
+        "orbit counts and the |G|-to-1 lower bound",
+        _run_quotient,
+        ("scenario", "l", "lmax", "budget"),
     ),
     "subvariety": Command(
-        "counts on an invariant subtorus translate", _run_subvariety, ("l", "lmax")
+        "counts on an invariant subtorus translate",
+        _run_subvariety,
+        ("scenario", "l", "lmax"),
     ),
-    "verify": Command("run identity checks against a scenario", _run_verify, ("l",)),
+    "verify": Command(
+        "run identity checks against a scenario",
+        _run_verify,
+        ("scenario", "l", "tolerance"),
+    ),
     "scenarios": Command("list builtin scenarios", None, ()),
+}
+
+# The range a given value of each Options flag must lie in, in the order
+# main checks them.
+FLAG_RANGES = {
+    "l": (lambda v: v >= 1, ">= 1"),
+    "lmax": (lambda v: v >= 1, ">= 1"),
+    "tolerance": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "budget": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -287,6 +318,8 @@ def run_command(command: str, scenario: Scenario | None, opts: Options) -> Repor
         raise ScenarioError("this command needs --scenario")
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r}")
+    if opts.lmax is None and "l" not in COMMANDS[command].reads:  # growth, compare
+        opts = replace(opts, lmax=DEFAULT_LMAX)
     result = COMMANDS[command].run(scenario, opts)
     return Report(_echo(command, scenario.name, opts), scenario.name, *result)
 
@@ -302,16 +335,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", help="builtin name or path to a scenario JSON file")
     common.add_argument("--l", type=int, default=None, help="iterate (default 1)")
     common.add_argument("--lmax", type=int, default=None, help="table up to this iterate")
+    # budget and tolerance default to None so that main sees them given;
+    # Options holds the defaults the help text names
     common.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=None,
         help="max grid points / enumerated points (default 1000000)",
     )
     common.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
+        default=None,
         help="numeric tolerance for the serre check (default 1e-9)",
     )
     common.add_argument(
@@ -346,26 +381,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        opts = Options(
-            l=args.l or 1,
-            lmax=args.lmax,
-            budget=args.budget,
-            tolerance=args.tolerance,
-            target=getattr(args, "target", "all"),
-        )
-        for flag in ("l", "lmax"):
-            value = getattr(args, flag)
-            if value is not None and value < 1:
-                raise ScenarioError(f"--{flag} must be >= 1")
-            if value is not None and flag not in COMMANDS[args.command].reads:
+        given = {
+            flag: getattr(args, flag)
+            for flag in (*FLAG_RANGES, "scenario")
+            if getattr(args, flag) is not None
+        }
+        for flag, value in given.items():
+            if flag in FLAG_RANGES and not FLAG_RANGES[flag][0](value):
+                raise ScenarioError(f"--{flag} must be {FLAG_RANGES[flag][1]}")
+            if flag not in COMMANDS[args.command].reads:
                 raise ScenarioError(f"{args.command} does not read --{flag}")
+        given.pop("scenario", None)
+        opts = Options(**given, target=getattr(args, "target", "all"))
         # --all is a spelled-out synonym of the default target, never a second one
         if getattr(args, "all", False) and opts.target != "all":
             raise ScenarioError(f"--all cannot be combined with target {opts.target}")
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise ScenarioError("--tolerance must be finite and >= 0")
-        if args.budget < 1:
-            raise ScenarioError("--budget must be >= 1")
         scenario = None
         if args.scenario is not None:
             scenario = resolve_scenario(args.scenario)

@@ -101,13 +101,14 @@ def pullback_degree_check(m: IntegerMatrix, s: IntegerMatrix) -> PullbackCheck:
         raise SkewSymmetryError(
             "form must be skew-symmetric of even dimension"
         )
-    if det(s) == 0:
+    pf = pfaffian(s)  # Pf(s)^2 = det(s), so Pf(s) = 0 exactly when s is degenerate
+    if pf == 0:
         raise ValueError("form must be nondegenerate")
     if (m.rows, m.cols) != (s.rows, s.cols):
         raise ValueError("matrix dimension must match the form")
     lhs = pfaffian(m.transpose() * s * m)
     d = det(m)
-    rhs = d * pfaffian(s)
+    rhs = d * pf
     return PullbackCheck(lhs=lhs, rhs=rhs, determinant=d, passed=lhs == rhs)
 
 

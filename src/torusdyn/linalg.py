@@ -6,12 +6,14 @@ one denominator kept beside it.  Two kernels do all the elimination:
 fraction-free Bareiss for determinants and the Smith normal form with
 its unimodular transforms; inverses, solves and definiteness tests
 elsewhere are derived from them.  The Pfaffian uses fraction-free
-skew elimination, and characteristic polynomials an integer-preserving
-recursion.
+skew elimination.  Characteristic polynomials come from the power sums
+tr(m^k), formed by baby and giant steps from about 2 sqrt(n) matrix
+products, and Newton's identities, whose divisions are exact.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,16 +168,17 @@ class IntegerMatrix:
             raise NonSquareMatrixError("power needs a square matrix")
         if exponent < 0:
             raise ValueError("negative matrix powers are not integral in general")
-        result = IntegerMatrix.identity(self.rows)
-        base = self
-        e = exponent
-        while e:
+        if exponent == 0:
+            return IntegerMatrix.identity(self.rows)
+        # start from the lowest set bit, so no product with the identity
+        result, base, e = None, self, exponent
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector; entries may be ints or Fractions."""
@@ -438,25 +441,44 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     """Characteristic polynomial det(xI - m), monic, computed over Z.
 
-    Uses the Faddeev-LeVerrier recursion; every division is exact so no
-    rationals (let alone floats) appear.
+    The power sums p_k = tr(m^k), k = 1..n, come from baby and giant
+    steps (Paterson-Stockmeyer; Preparata-Sarwate): with s = ceil(sqrt n)
+    the powers m^1..m^(s-1) and G^1, G^2, ... of G = m^s give every
+    p_(i+js) = tr(m^i G^j) as one dot product of entries, so about 2 sqrt n
+    matrix products are formed instead of n.  Newton's identities
+    k c_(n-k) = -sum_(i=1..k) c_(n-k+i) p_i then yield the coefficients;
+    every division by k is exact, so no rationals (let alone floats)
+    appear.
     """
     if not m.is_square:
         raise NonSquareMatrixError("characteristic polynomial needs a square matrix")
     n = m.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    Mk = IntegerMatrix.identity(n)
+    s = math.isqrt(n - 1) + 1
+    powers = [m]
+    while len(powers) < s:
+        powers.append(powers[-1] * m)
+    giant = powers.pop()
+    # tr(X Y) pairs X[a][b] with Y[b][a]: hold the baby steps transposed
+    transposed = [tuple(x for j in range(n) for x in a.entries[j::n]) for a in powers]
+    sums = [0] * (n + 1)
+    for i, a in enumerate(powers, 1):
+        sums[i] = a.trace()
+    g, k = giant, s
+    while True:
+        sums[k] = g.trace()
+        for i, t in enumerate(transposed[: n - k], 1):
+            sums[k + i] = sum(map(operator.mul, t, g.entries))
+        k += s
+        if k > n:
+            break
+        g = g * giant
+    coeffs = [1]  # c_n, c_(n-1), ...
     for k in range(1, n + 1):
-        AM = m * Mk
-        tr = AM.trace()
-        if tr % k != 0:
+        total = sum(map(operator.mul, reversed(coeffs), sums[1 : k + 1]))
+        if total % k != 0:
             raise ArithmeticError("inexact division in characteristic polynomial")
-        ck = -tr // k
-        coeffs[n - k] = ck
-        if k < n:
-            Mk = AM + IntegerMatrix.scalar(n, ck)
-    return IntegerPolynomial(tuple(coeffs))
+        coeffs.append(-total // k)
+    return IntegerPolynomial(tuple(reversed(coeffs)))
 
 
 def _pfaffian_eliminate(a: list[list[int]]) -> int:

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: cofactor determinants, principal-minor sums, the
-Pfaffian by expansion along the first row, a per-point grid scan, a
-Fraction orbit partition, and elementary random matrix generators.  None
+Faddeev-LeVerrier characteristic polynomial, the Pfaffian by expansion
+along the first row, a per-point grid scan, a Fraction orbit partition,
+and elementary random matrix generators.  None
 of these share code with the package paths they check.  The package
 imports nothing from here.
 """
@@ -40,6 +41,24 @@ def principal_minor_trace(rows: list[list[int]], k: int) -> int:
         minor = [[rows[i][j] for j in subset] for i in subset]
         total += det_cofactor(minor)
     return total
+
+
+def charpoly_faddeev(m: IntegerMatrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - m), ascending, by Faddeev-LeVerrier.
+
+    One matrix product per coefficient: with M_0 = I,
+    c_(n-k) = -tr(m M_(k-1)) / k and M_k = m M_(k-1) + c_(n-k) I.
+    """
+    n = m.rows
+    coeffs = [0] * n + [1]
+    mk = IntegerMatrix.identity(n)
+    for k in range(1, n + 1):
+        am = m * mk
+        tr = am.trace()
+        assert tr % k == 0, "inexact division in Faddeev-LeVerrier"
+        coeffs[n - k] = -tr // k
+        mk = am + IntegerMatrix.scalar(n, coeffs[n - k])
+    return tuple(coeffs)
 
 
 def pfaffian_expansion(a: list[list[int]]) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -325,12 +326,53 @@ class TestIterateFlags:
             assert (code, out, err) == (1, "", f"error: {command} does not read --{flag}\n")
             return
         assert code == 0, err
-        if command != "verify":  # the verify echo names its target, not an iterate
-            echo = out.splitlines()[0]
-            assert echo.endswith(f" --{flag} 2"), echo
+        echo = out.splitlines()[0]
+        assert echo.endswith(f" --{flag} 2"), echo
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0, err
         assert shown_iterates(command, parse_csv(out)[1]) == ([2] if flag == "l" else [1, 2])
+
+    @pytest.mark.parametrize("flag, value", (("budget", "5"), ("tolerance", "3")))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_other_flag_is_read_or_refused(self, capsys, command, flag, value):
+        argv = [command, f"--{flag}", value]
+        if command in SCENARIO_FOR:
+            argv += ["--scenario", SCENARIO_FOR[command]]
+        code, out, err = run_cli(capsys, *argv)
+        if flag not in COMMANDS[command].reads:
+            assert (code, out, err) == (1, "", f"error: {command} does not read --{flag}\n")
+        else:
+            assert code in (0, 2), err  # a budget of 5 may refuse the fixed set
+
+    def test_scenarios_refuses_a_scenario(self, capsys):
+        code, out, err = run_cli(capsys, "scenarios", "--scenario", "mult-by-2")
+        assert (code, out, err) == (1, "", "error: scenarios does not read --scenario\n")
+
+    @pytest.mark.parametrize("variant", ((), ("--l", "2"), ("--lmax", "3")))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_echo_reproduces_the_run(self, capsys, command, variant):
+        argv = [command, *variant]
+        if command in SCENARIO_FOR:
+            argv += ["--scenario", SCENARIO_FOR[command]]
+        code, out, err = run_cli(capsys, *argv)
+        if variant and variant[0][2:] not in COMMANDS[command].reads:
+            assert code == 1
+            return
+        assert code == 0, err
+        echo = out.splitlines()[0].removeprefix("# command: ")
+        assert run_cli(capsys, *shlex.split(echo))[:2] == (0, out), echo
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "verify serre --scenario gaussian-cm --l 1 --tolerance 0.001",
+            "enumerate --scenario mult-by-2 --l 1 --budget 7",
+        ),
+    )
+    def test_echo_names_a_given_budget_or_tolerance(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out.splitlines()[0] == f"# command: {argv}"
 
     def test_all_flag_with_another_target_refused(self, capsys):
         code, out, err = run_cli(capsys, "verify", "serre", "--all", "--scenario", "gaussian-cm")

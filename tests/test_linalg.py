@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from torusdyn import (
 from torusdyn.linalg import NonSquareMatrixError, SkewSymmetryError
 
 from oracles import (
+    charpoly_faddeev,
     det_cofactor,
     pfaffian_expansion,
     principal_minor_trace,
@@ -31,6 +33,44 @@ SUMDIFF = IntegerMatrix.from_rows(
         [0, 1, 0, -1],
     ]
 )
+
+
+def count_products(monkeypatch) -> Counter:
+    """Count IntegerMatrix-by-IntegerMatrix products from now on."""
+    calls = Counter()
+    original = IntegerMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, IntegerMatrix):
+            calls["products"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntegerMatrix, "__mul__", counted)
+    return calls
+
+
+def charpoly_cases():
+    """Seeded matrices for the charpoly cross-checks, labelled by kind."""
+    rng = random.Random(2024)
+    # n = 1..40 takes in every s^2 - 1, s^2, s^2 + 1 for s = ceil(sqrt n)
+    for n in range(1, 41):
+        yield f"dense n={n}", random_matrix(rng, n, -99, 99)
+    for n in range(1, 7):
+        big = 2**2000
+        yield f"2000-bit n={n}", random_matrix(rng, n, -big, big)
+    for n in (1, 4, 9, 10):
+        yield f"nilpotent n={n}", IntegerMatrix.from_rows(
+            [[rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)]
+        )
+        perm = rng.sample(range(n), n)
+        yield f"permutation n={n}", IntegerMatrix.from_rows(
+            [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+        )
+        yield f"scalar n={n}", IntegerMatrix.scalar(n, rng.randint(-9, 9))
+        yield f"zero n={n}", IntegerMatrix.zero(n, n)
+
+
+CHARPOLY_CASES = dict(charpoly_cases())
 
 
 def assert_smith_certificate(m: IntegerMatrix) -> None:
@@ -175,6 +215,22 @@ class TestCharpoly:
         with pytest.raises(NonSquareMatrixError):
             charpoly(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
+    @pytest.mark.parametrize("label", list(CHARPOLY_CASES))
+    def test_matches_faddeev_leverrier(self, label):
+        m = CHARPOLY_CASES[label]
+        assert charpoly(m).coefficients == charpoly_faddeev(m)
+
+    def test_nilpotent_is_x_to_the_n(self):
+        for n in (1, 4, 9, 10):
+            assert charpoly(CHARPOLY_CASES[f"nilpotent n={n}"]).coefficients == (0,) * n + (1,)
+
+    @pytest.mark.parametrize("n", (4, 5, 16, 17, 32))
+    def test_at_most_two_sqrt_n_products(self, monkeypatch, n):
+        m = random_matrix(random.Random(n), n, -99, 99)
+        calls = count_products(monkeypatch)
+        charpoly(m)
+        assert calls["products"] <= 2 * math.isqrt(n - 1) + 2
+
 
 class TestPfaffian:
     def test_standard_block(self):
@@ -245,6 +301,11 @@ class TestExteriorTraceSum:
             )
             assert exterior_trace_sum(m) == expected
 
+    @pytest.mark.parametrize("label", list(CHARPOLY_CASES))
+    def test_equals_bareiss_det_i_minus_m(self, label):
+        m = CHARPOLY_CASES[label]
+        assert exterior_trace_sum(m) == det(IntegerMatrix.identity(m.rows) - m)
+
     def test_equals_det_i_minus_m(self):
         rng = random.Random(78)
         for n in (2, 3, 5):
@@ -275,6 +336,21 @@ class TestPolynomialAndMatrixBasics:
         for e in range(10):
             assert g**e == product
             product = product * g
+
+    def test_matrix_power_equals_repeated_products(self):
+        m = random_matrix(random.Random(11), 3)
+        product = IntegerMatrix.identity(3)
+        for e in range(41):
+            assert m**e == product
+            product = product * m
+
+    @pytest.mark.parametrize("e", (1, 2, 3, 7, 8, 31, 32, 40, 1000))
+    def test_matrix_power_product_count(self, monkeypatch, e):
+        # squarings for every bit below the top, one product per further set bit
+        m = IntegerMatrix.from_rows([[1, 1], [1, 0]])
+        calls = count_products(monkeypatch)
+        m**e
+        assert calls["products"] == e.bit_length() + e.bit_count() - 2
 
     def test_inexact_entries_refused(self):
         # int() would truncate 1.7 to 1
