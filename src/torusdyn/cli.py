@@ -23,8 +23,13 @@ from .fixpoint import (
     DegenerateFixedLocusError,
     RootFindingError,
 )
-from .lattice import complementary_isogeny, degree, polarization_multiplier
-from .linalg import IntegerMatrix
+from .lattice import (
+    complementary_isogeny,
+    degree,
+    grid_residues,
+    polarization_multiplier,
+)
+from .linalg import IntegerMatrix, exterior_trace_sum
 from .report import Report, render_csv, render_table
 from .scenarios import (
     BUILTIN_DESCRIPTIONS,
@@ -93,9 +98,13 @@ def _run_count(scenario: Scenario, opts: Options):
 
 
 def _run_enumerate(scenario: Scenario, opts: Options):
-    points = fixpoint.enumerate_fixed(scenario.endomorphism, opts.l, opts.budget)
+    # rendered from the numerators, one cell string per distinct residue
+    common, points = fixpoint.fixed_grid(scenario.endomorphism, opts.l, opts.budget)
+    cells = {v: str(r) for v, r in grid_residues(common, points).items()}
     headers = ("index",) + tuple(f"x{i + 1}" for i in range(scenario.torus.rank))
-    return headers, tuple(_strings(i, *p.coordinates) for i, p in enumerate(points))
+    return headers, tuple(
+        (str(i), *map(cells.__getitem__, p)) for i, p in enumerate(points)
+    )
 
 
 def _run_growth(scenario: Scenario, opts: Options):
@@ -199,8 +208,10 @@ def _verify_serre(scenario: Scenario, opts: Options):
 
 
 def _verify_lefschetz(scenario: Scenario, opts: Options):
-    lef = fixpoint.lefschetz_number(scenario.endomorphism, opts.l)
-    count = fixpoint.count_fixed(scenario.endomorphism, opts.l)
+    # one power M^l, read twice: by exterior traces and by a Bareiss det
+    m_l = scenario.endomorphism.matrix**opts.l
+    lef = exterior_trace_sum(m_l)
+    count = fixpoint._fixed_difference(m_l, opts.l)[1]
     detail = f"l = {opts.l}; lefschetz = {lef}; fixed points = {count}"
     return [("", _status(abs(lef) == count), detail)]
 

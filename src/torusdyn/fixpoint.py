@@ -147,6 +147,11 @@ def fixed_grid(
     the lcm of d_i times the denominator of that right-hand side.  M^l
     and t_l come from one call to power.
 
+    The set is built as one list of numerators per coordinate: Smith axis
+    i extends coordinate list r by the offsets (base + j step) V[r, i]
+    mod N, j < d_i, so no tuple is made until the lists are zipped into
+    points at the end.
+
     The point count |det(M^l - I)| is known before any point is built:
     past the budget the call raises BudgetExceededError right after that
     determinant, before the Smith form and the grid walk.  The walk must
@@ -168,24 +173,20 @@ def fixed_grid(
     for d, b in zip(divisors, rhs):
         common = math.lcm(common, d * b.denominator)
     # every solution is a sum over axes i of one vector y_i * V[:, i]
-    points: list[tuple[int, ...]] = [(0,) * n]
+    columns: list[list[int]] = [[0] for _ in range(n)]
     for i, (d, b) in enumerate(zip(divisors, rhs)):
         base = int(b * common / d)
         step = common // d
-        column = [snf.V[r, i] for r in range(n)]
-        axis = [
-            [(base + j * step) * c % common for c in column] for j in range(d)
-        ]
-        points = [
-            tuple((p + v) % common for p, v in zip(point, vec))
-            for point in points
-            for vec in axis
-        ]
-    if len(points) != count:
+        multiples = [(base + j * step) % common for j in range(d)]
+        for r in range(n):
+            v = snf.V[r, i]
+            offsets = [m * v % common for m in multiples]
+            columns[r] = [(p + o) % common for p in columns[r] for o in offsets]
+    if len(columns[0]) != count:
         raise AssertionError(
-            f"{len(points)} grid points but |det(M^{l} - I)| = {count}"
+            f"{len(columns[0])} grid points but |det(M^{l} - I)| = {count}"
         )
-    points.sort()
+    points = sorted(zip(*columns))
     return common, points
 
 
@@ -195,17 +196,12 @@ def enumerate_fixed(
     """All fixed points of f^l, as canonical torsion points, sorted.
 
     The points come from fixed_grid as integer numerators over a shared
-    denominator N; they become TorsionPoints only here, one Fraction per
-    distinct numerator.  More than budget points are refused with
+    denominator N; they become TorsionPoints only here, through
+    TorsionPoint.from_grid, which checks each distinct numerator once and
+    makes one Fraction for it.  More than budget points are refused with
     BudgetExceededError before any is built, as in fixed_grid.
     """
-    common, numerators = fixed_grid(f, l, budget)
-    residues: dict[int, Fraction] = {}
-    for point in numerators:
-        for v in point:
-            if v not in residues:
-                residues[v] = Fraction(v, common)
-    return [TorsionPoint(tuple(residues[v] for v in point)) for point in numerators]
+    return TorsionPoint.from_grid(*fixed_grid(f, l, budget))
 
 
 def brute_force_count(
@@ -219,9 +215,10 @@ def brute_force_count(
     form, never its transforms, so the scan stays independent of the
     congruence solving in fixed_grid.  A grid point a / G is fixed when
     K a + G t = 0 mod G.  The residues of that sum over the first n - 1
-    coordinates are built one coordinate at a time, and each is matched
-    against a Counter of the residues -K[:, n-1] a_{n-1} of the last
-    coordinate, so every one of the G^n grid points is accounted for.
+    coordinates are built one coordinate at a time, as one list of
+    residues per row of K, and each prefix zipped from those lists is
+    matched against a Counter of the residues -K[:, n-1] a_{n-1} of the
+    last coordinate, so every one of the G^n grid points is accounted for.
     Refuses (never truncates) past the budget.
     """
     f_l = power(f, l)
@@ -235,19 +232,16 @@ def brute_force_count(
         raise BudgetExceededError(
             f"grid of {grid}^{n} points exceeds budget {budget}"
         )
-    columns = [[k[i, j] for i in range(n)] for j in range(n)]
-    prefixes = [tuple(int(grid * c) % grid for c in t_l)]
-    for column in columns[:-1]:
-        multiples = [[c * a % grid for c in column] for a in range(grid)]
-        prefixes = [
-            tuple((p + m) % grid for p, m in zip(prefix, multiple))
-            for prefix in prefixes
-            for multiple in multiples
-        ]
+    # sums[i] lists row i of K a + G t over the prefixes a_0..a_{n-2}
+    sums = [[int(grid * c) % grid] for c in t_l]
+    for j in range(n - 1):
+        for i in range(n):
+            multiples = [k[i, j] * a % grid for a in range(grid)]
+            sums[i] = [(p + m) % grid for p in sums[i] for m in multiples]
     last = Counter(
-        tuple(-c * a % grid for c in columns[-1]) for a in range(grid)
+        tuple(-k[i, n - 1] * a % grid for i in range(n)) for a in range(grid)
     )
-    return sum(last[prefix] for prefix in prefixes)
+    return sum(map(last.__getitem__, zip(*sums)))
 
 
 def growth_table(

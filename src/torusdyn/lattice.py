@@ -11,11 +11,12 @@ unimodular.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import IntegerMatrix, det, exact_fraction, smith_normal_form
 
@@ -100,6 +101,26 @@ class ComplexTorus:
         return 2 * self.g
 
 
+_NOT_CANONICAL = "coordinates must be canonical representatives in [0,1)"
+
+
+def grid_residues(
+    denominator: int, numerators: Iterable[Sequence[int]]
+) -> dict[int, Fraction]:
+    """v -> Fraction(v, denominator) for each distinct numerator v of the points.
+
+    Each distinct numerator is checked once for 0 <= v < denominator; one
+    outside that range is refused with ValueError, as TorsionPoint
+    refuses a coordinate outside [0,1).
+    """
+    residues = {}
+    for v in set(itertools.chain.from_iterable(numerators)):
+        if not 0 <= v < denominator:
+            raise ValueError(_NOT_CANONICAL)
+        residues[v] = Fraction(v, denominator)
+    return residues
+
+
 @dataclass(frozen=True)
 class TorsionPoint:
     """Point of finite order: rational coordinates, each in [0,1)."""
@@ -113,11 +134,31 @@ class TorsionPoint:
             object.__setattr__(self, "coordinates", coords)
         for c in coords:
             if not 0 <= c.numerator < c.denominator:
-                raise ValueError("coordinates must be canonical representatives in [0,1)")
+                raise ValueError(_NOT_CANONICAL)
 
     @classmethod
     def reduce(cls, vector: Sequence) -> "TorsionPoint":
         return cls(reduce_mod_lattice(vector))
+
+    @classmethod
+    def from_grid(
+        cls, denominator: int, numerators: Sequence[Sequence[int]]
+    ) -> "list[TorsionPoint]":
+        """The points a / denominator for the integer tuples a, in order.
+
+        grid_residues checks each distinct numerator once and makes one
+        Fraction for it, shared by every point that has it; the points
+        are then built without re-validating each coordinate, since every
+        coordinate is one of those checked residues.
+        """
+        lookup = grid_residues(denominator, numerators).__getitem__
+        new, assign = object.__new__, object.__setattr__
+        points = []
+        for a in numerators:
+            point = new(cls)
+            assign(point, "coordinates", tuple(map(lookup, a)))
+            points.append(point)
+        return points
 
     def __len__(self) -> int:
         return len(self.coordinates)

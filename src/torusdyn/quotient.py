@@ -10,7 +10,6 @@ certifies the lower bound for fixed points downstairs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -152,36 +151,51 @@ def _grid_classes(
 ) -> list[list[int]]:
     """Classes of the G-relation on the points a / common of the torus.
 
-    Returns lists of indices into points.  The grid is refined to the lcm
-    N of common and every translation denominator, so that an element
-    (U, s) acts on numerators in (1/N)Z^n / Z^n as a -> (U a + N s) mod N,
-    in integers only.  A seed's class holds the seed and those of its
-    images that are still unclaimed members of the set.
+    Returns lists of indices into points.  An element (U, s) maps a / N,
+    N = common, to (U a + N s) / N; when N s is not integral that image
+    lies off the (1/N)-grid, so outside the set, and the element relates
+    no two points.  Otherwise it acts on numerators as
+    a -> (U a + N s) mod N, in integers only.  The distinct points are
+    held as one numerator list per coordinate, and each element's images
+    of all of them are computed in one pass over those lists before any
+    class is formed; the class walk then only looks positions up.  Seeds
+    are taken from the last distinct point to the first (a repeated point
+    stands at its first position, under the index of its last copy).  A
+    seed's class holds the seed and those of its images that are still
+    unclaimed members of the set.
     """
-    grid = math.lcm(
-        common, *(c.denominator for g in action.elements for c in g.translation)
-    )
-    scale = grid // common
-    maps = [
-        (
-            [g.matrix.row(i) for i in range(g.rank)],
-            [int(c * grid) for c in g.translation],
-        )
-        for g in action.elements
-    ]
-    remaining = {tuple(a * scale for a in p): i for i, p in enumerate(points)}
+    # distinct point -> index of its last copy, in order of first appearance
+    index_of = dict(zip(points, range(len(points))))
+    owners = list(index_of.values())
+    position = dict(zip(index_of, range(len(owners))))
+    columns = list(zip(*index_of))
+    identity = LatticeEndomorphism.identity(action.rank // 2)
+    images = []
+    for g in action.elements:
+        shift = [c * common for c in g.translation]
+        # the identity maps each seed to itself, which is already claimed
+        if g == identity or any(c.denominator != 1 for c in shift):
+            continue
+        image_columns = []
+        for row, s in zip(g.matrix.to_lists(), shift):
+            acc = [int(s)] * len(owners)
+            for u, column in zip(row, columns):
+                if u:
+                    acc = [x + u * a for x, a in zip(acc, column)]
+            image_columns.append([x % common for x in acc])
+        images.append(list(map(position.get, zip(*image_columns))))
+    claimed = [False] * len(owners)
     classes: list[list[int]] = []
-    while remaining:
-        seed, index = remaining.popitem()
-        cls = [index]
-        for rows, shift in maps:
-            image = tuple(
-                (sum(map(operator.mul, row, seed)) + s) % grid
-                for row, s in zip(rows, shift)
-            )
-            found = remaining.pop(image, None)
-            if found is not None:
-                cls.append(found)
+    for seed in reversed(range(len(owners))):
+        if claimed[seed]:
+            continue
+        claimed[seed] = True
+        cls = [owners[seed]]
+        for image in images:
+            found = image[seed]
+            if found is not None and not claimed[found]:
+                claimed[found] = True
+                cls.append(owners[found])
         classes.append(cls)
     return classes
 

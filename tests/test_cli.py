@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdyn import TorsionPoint
+from torusdyn import (
+    IntegerMatrix,
+    TorsionPoint,
+    count_fixed,
+    enumerate_fixed,
+    lefschetz_number,
+)
 from torusdyn.cli import COMMANDS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
@@ -82,6 +88,22 @@ class TestEnumerate:
         assert len(rows) == 4
         assert rows[0] == ("0", "0", "0")
         assert rows[-1] == ("3", "1/2", "1/2")
+
+    @pytest.mark.parametrize(
+        "name, l", [("mult-by-3", 2), ("bielliptic-quotient", 1), ("gaussian-cm", 5)]
+    )
+    def test_rows_are_the_enumerated_points(self, capsys, name, l):
+        # the CLI renders from the numerators; the rows must still be the
+        # TorsionPoints enumerate_fixed returns, coordinate by coordinate
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--scenario", name, "--l", str(l), "--format", "csv"
+        )
+        assert code == 0
+        points = enumerate_fixed(resolve_scenario(name).endomorphism, l)
+        want = tuple(
+            (str(i), *map(str, p.coordinates)) for i, p in enumerate(points)
+        )
+        assert parse_csv(out)[1] == want
 
 
 class TestGrowth:
@@ -200,6 +222,29 @@ class TestVerify:
         )
         assert code == 0
         assert "pass" in out
+
+    def test_lefschetz_takes_one_power(self, capsys, monkeypatch):
+        gaussian = resolve_scenario("gaussian-cm").endomorphism
+        l = 20000
+        want = (
+            f"l = {l}; lefschetz = {lefschetz_number(gaussian, l)};"
+            f" fixed points = {count_fixed(gaussian, l)}"
+        )
+        exponents = []
+        original = IntegerMatrix.__pow__
+
+        def counted(m, e):
+            exponents.append(e)
+            return original(m, e)
+
+        monkeypatch.setattr(IntegerMatrix, "__pow__", counted)
+        code, out, _ = run_cli(
+            capsys, "verify", "lefschetz", "--scenario", "gaussian-cm", "--l", str(l),
+            "--format", "csv",
+        )
+        assert code == 0
+        assert exponents == [l]
+        assert parse_csv(out)[1] == (("lefschetz", "pass", want),)
 
     def test_dual_isogeny_target(self, capsys):
         code, out, _ = run_cli(

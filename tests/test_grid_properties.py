@@ -47,9 +47,14 @@ from oracles import brute_force_scan, orbit_partition_fractions, random_unimodul
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 # diagonal entries and translation denominators keep the oracle scan small:
-# grid side at most lcm(4, 5) * 6 at rank 2 and lcm(2, 3) * 2 at rank 4
-DIAGONAL = {2: [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5], 4: [-3, -2, -1, 1, 2, 3]}
-MAX_DENOMINATOR = {2: 6, 4: 2}
+# grid side at most lcm(4, 5) * 6 at rank 2, lcm(2, 3) * 2 at rank 4 and
+# 2 * 2 at rank 6
+DIAGONAL = {
+    2: [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5],
+    4: [-3, -2, -1, 1, 2, 3],
+    6: [-2, -1, 1, 2],
+}
+MAX_DENOMINATOR = {2: 6, 4: 2, 6: 2}
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -189,7 +194,7 @@ def as_sets(classes) -> set[frozenset]:
 
 
 @PROPERTIES
-@given(any_rank_maps)
+@given(st.sampled_from([2, 4, 6]).flatmap(fixed_point_maps))
 def test_four_counts_agree(f):
     points = enumerate_fixed(f, 1)
     assert len(points) == count_fixed(f, 1) == brute_force_count(f, 1) == brute_force_scan(f, 1)
@@ -241,6 +246,36 @@ def test_orbit_partition_matches_fraction_oracle(case):
             for chosen in (points, half):
                 expected = as_sets(orbit_partition_fractions(chosen, action))
                 assert as_sets(orbit_partition(chosen, action)) == expected
+
+
+def as_lists(classes) -> list[list[tuple]]:
+    return [[p.coordinates for p in cls] for cls in classes]
+
+
+def repeated_point() -> list[TorsionPoint]:
+    """Two related points, the first of them three times."""
+    a = TorsionPoint((Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(0)))
+    b = TorsionPoint((Fraction(0), Fraction(0), Fraction(2, 3), Fraction(0)))
+    return [a, a, b, a]
+
+
+def bielliptic_half() -> list[TorsionPoint]:
+    """Every other point of the bielliptic fixed set at l = 2: not G-stable."""
+    return enumerate_fixed(resolve_scenario("bielliptic-quotient").endomorphism, 2)[::2]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [list, repeated_point, bielliptic_half],
+    ids=["empty", "repeated-point", "bielliptic-half"],
+)
+def test_orbit_classes_and_seed_order_match_fraction_oracle(points):
+    # same classes, in the same order and each in the same order, as the
+    # oracle's popitem walk, duplicated points and non-G-stable sets included
+    points = points()
+    action = resolve_scenario("bielliptic-quotient").action
+    expected = as_lists(orbit_partition_fractions(points, action))
+    assert as_lists(orbit_partition(points, action)) == expected
 
 
 @ORBIT_PROPERTIES

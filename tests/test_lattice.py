@@ -15,11 +15,13 @@ from torusdyn import (
     compose,
     degree,
     det,
+    enumerate_fixed,
     is_analytic,
     is_saturated,
     polarization_multiplier,
     power,
     product,
+    resolve_scenario,
     restrict_to_sublattice,
     scenario_from_dict,
     scenario_to_dict,
@@ -130,6 +132,28 @@ class TestEndomorphismBasics:
         assert p.coordinates == (HALF, Fraction(2, 3))
         with pytest.raises(ValueError):
             TorsionPoint((Fraction(3, 2),))
+
+    @pytest.mark.parametrize("bad", [-1, 15])
+    def test_from_grid_refuses_numerators_outside_the_range(self, bad):
+        with pytest.raises(ValueError, match=r"\[0,1\)"):
+            TorsionPoint.from_grid(15, [(0, 3), (bad, 1)])
+
+    def test_from_grid_equals_checked_construction(self):
+        rng = random.Random(7)
+        for n in (1, 2, 6, 12):
+            grid = [tuple(rng.randrange(n) for _ in range(4)) for _ in range(50)]
+            want = [TorsionPoint(tuple(Fraction(v, n) for v in a)) for a in grid]
+            got = TorsionPoint.from_grid(n, grid)
+            assert got == want
+            assert all(type(c) is Fraction for p in got for c in p.coordinates)
+        assert TorsionPoint.from_grid(5, []) == []
+
+    def test_enumerated_points_share_one_fraction_per_residue(self):
+        # [2]^4 - I = 15 I on E x E: 15^4 points over N = 15
+        f = resolve_scenario("diagonal-subvariety").endomorphism
+        points = enumerate_fixed(f, 4)
+        assert len(points) == 15**4
+        assert len({id(c) for p in points for c in p.coordinates}) <= 15
 
     def test_float_translation_refused(self):
         # Fraction(0.1) would be 3602879701896397/2^55, not 1/10
