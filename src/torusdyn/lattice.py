@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import IntegerMatrix, det, exact_fraction, smith_normal_form
+from .linalg import IntegerMatrix, binary_power, det, exact_fraction, smith_normal_form
 
 
 def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
@@ -255,14 +255,7 @@ def power(f: LatticeEndomorphism, l: int) -> LatticeEndomorphism:
     """
     if l < 1:
         raise ValueError("iterate must be >= 1")
-    result, base = None, f
-    while True:
-        if l & 1:
-            result = base if result is None else compose(base, result)
-        l >>= 1
-        if not l:
-            return result
-        base = compose(base, base)
+    return binary_power(f, l, compose)
 
 
 def degree(f: LatticeEndomorphism) -> int:

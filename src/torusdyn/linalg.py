@@ -5,10 +5,14 @@ float entries are refused; a rational matrix is an integer matrix over
 one denominator kept beside it.  Two kernels do all the elimination:
 fraction-free Bareiss for determinants and the Smith normal form with
 its unimodular transforms; inverses, solves and definiteness tests
-elsewhere are derived from them.  The Pfaffian uses fraction-free
-skew elimination.  Characteristic polynomials come from the power sums
-tr(m^k), formed by baby and giant steps from about 2 sqrt(n) matrix
-products, and Newton's identities, whose divisions are exact.
+elsewhere are derived from them.  The Smith form has one elimination
+step, a row step that clears the pivot's column by a shear or an xgcd
+combination and applies the same operation to the transform; column
+operations are that step run on the transposed block, with V held as
+V^T.  The Pfaffian uses fraction-free skew elimination.  Characteristic
+polynomials come from the power sums tr(m^k), formed by baby and giant
+steps from about 2 sqrt(n) matrix products, and Newton's identities,
+whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -36,6 +40,22 @@ class NonSquareMatrixError(ValueError):
 
 class SkewSymmetryError(ValueError):
     """Operation requires an even-dimensional skew-symmetric matrix."""
+
+
+def binary_power(base, exponent: int, product):
+    """base to the power exponent >= 1 under an associative product.
+
+    Starts from the lowest set bit, so no product with an identity is
+    formed: exponent.bit_length() + exponent.bit_count() - 2 products.
+    """
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else product(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = product(base, base)
 
 
 @dataclass(frozen=True)
@@ -170,23 +190,13 @@ class IntegerMatrix:
             raise ValueError("negative matrix powers are not integral in general")
         if exponent == 0:
             return IntegerMatrix.identity(self.rows)
-        # start from the lowest set bit, so no product with the identity
-        result, base, e = None, self, exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return binary_power(self, exponent, operator.mul)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector; entries may be ints or Fractions."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.row(i)[k] * vector[k] for k in range(self.cols)) for i in range(self.rows)
-        )
+        return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
     def is_skew_symmetric(self) -> bool:
         return self.is_square and all(
@@ -292,61 +302,35 @@ def det(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _clear_with_gcd(work, trans, i, j, col, by_rows):
-    """2x2 unimodular transform sending (work[i][col], work[j][col]) to (g, 0).
+def _clear_first_column(lines: list[list[int]], trans: list[list[int]]) -> None:
+    """Clear lines[i][0], i > 0, against the pivot lines[0][0] != 0 by row operations.
 
-    Applied to rows when by_rows, else to columns (col then indexes rows).
-    The same transform is applied to the transform accumulator.
+    trans[i] is the transform row of lines[i] and gets the same operation.
+    The pivot stays nonzero: a shear leaves it alone and an xgcd step makes
+    it the gcd g > 0.
     """
-    if by_rows:
-        a, b = work[i][col], work[j][col]
-    else:
-        a, b = work[col][i], work[col][j]
-    if b == 0:
-        return
-    if a == 0:
-        # plain swap
-        if by_rows:
-            work[i], work[j] = work[j], work[i]
-            trans[i], trans[j] = trans[j], trans[i]
-        else:
-            for row in work:
-                row[i], row[j] = row[j], row[i]
-            for row in trans:
-                row[i], row[j] = row[j], row[i]
-        return
-    if b % a == 0:
-        # pure shear; leaves the pivot line untouched, which the
-        # termination argument of the caller's clearing loop relies on
-        q = b // a
-        if by_rows:
-            work[j] = [v - q * u for u, v in zip(work[i], work[j])]
-            trans[j] = [v - q * u for u, v in zip(trans[i], trans[j])]
-        else:
-            for row in work:
-                row[j] -= q * row[i]
-            for row in trans:
-                row[j] -= q * row[i]
-        return
-    g, x, y = _xgcd(a, b)
-    p, q = a // g, b // g
-    # [[x, y], [-q, p]] has determinant x*p + y*q = 1.
-    if by_rows:
-        ri, rj = work[i], work[j]
-        work[i] = [x * u + y * v for u, v in zip(ri, rj)]
-        work[j] = [-q * u + p * v for u, v in zip(ri, rj)]
-        ti, tj = trans[i], trans[j]
-        trans[i] = [x * u + y * v for u, v in zip(ti, tj)]
-        trans[j] = [-q * u + p * v for u, v in zip(ti, tj)]
-    else:
-        for row in work:
-            u, v = row[i], row[j]
-            row[i] = x * u + y * v
-            row[j] = -q * u + p * v
-        for row in trans:
-            u, v = row[i], row[j]
-            row[i] = x * u + y * v
-            row[j] = -q * u + p * v
+    for i in range(1, len(lines)):
+        a, b = lines[0][0], lines[i][0]
+        if b == 0:
+            continue
+        if b % a == 0:
+            # pure shear; leaves the pivot row untouched, which the
+            # termination argument of the caller's clearing loop relies on
+            q = b // a
+            for rows in (lines, trans):
+                rows[i] = [v - q * u for u, v in zip(rows[0], rows[i])]
+            continue
+        g, x, y = _xgcd(a, b)
+        p, q = a // g, b // g
+        # [[x, y], [-q, p]] has determinant x*p + y*q = 1.
+        for rows in (lines, trans):
+            r0, ri = rows[0], rows[i]
+            rows[0] = [x * u + y * v for u, v in zip(r0, ri)]
+            rows[i] = [-q * u + p * v for u, v in zip(r0, ri)]
+
+
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(column) for column in zip(*rows)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -368,74 +352,76 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms: U * m * V = D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... ; zeros trail.
+
+    Step k works on the trailing block of rows and columns k, k+1, ...
+    It moves the least nonzero entry (first in row-major order) to the
+    corner, then alternates a row pass and a column pass until the
+    corner's row and column are clean.  Both passes are the one row step
+    _clear_first_column: the column pass runs it on the transposed block
+    with the rows of V^T as its transform, so V is held as V^T and
+    transposed once at the end.  If the corner does not divide some entry
+    of the rest, the first such row is added to the corner's row and the
+    passes repeat.  Negative divisors are made positive last, by negating
+    rows of U.
     """
     rows, cols = m.rows, m.cols
-    work = m.to_lists()
+    block = m.to_lists()
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def clear(k):
-        """Alternate row and column clearing until row and column k are clean."""
-        while any(work[i][k] != 0 for i in range(k + 1, rows)) or any(
-            work[k][j] != 0 for j in range(k + 1, cols)
-        ):
-            for i in range(k + 1, rows):
-                _clear_with_gcd(work, U, k, i, k, by_rows=True)
-            for j in range(k + 1, cols):
-                _clear_with_gcd(work, V, k, j, k, by_rows=False)
-
-    limit = min(rows, cols)
-    for k in range(limit):
-        # Bring a nonzero entry to (k, k) if one exists in the submatrix.
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if work[i][j] != 0:
-                    if pivot is None or abs(work[i][j]) < abs(work[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
+    Vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    divisors = [0] * min(rows, cols)
+    for k in range(len(divisors)):
+        sizes = [abs(v) for line in block for v in line]
+        smallest = min(filter(None, sizes), default=0)
+        if not smallest:
             break
-        pi, pj = pivot
-        if pi != k:
-            work[k], work[pi] = work[pi], work[k]
-            U[k], U[pi] = U[pi], U[k]
-        if pj != k:
-            for row in work:
-                row[k], row[pj] = row[pj], row[k]
-            for row in V:
-                row[k], row[pj] = row[pj], row[k]
-        clear(k)
-        # Pivot must divide every remaining entry; if not, fold the bad row in.
+        pi, pj = divmod(sizes.index(smallest), len(block[0]))
+        # the rows of U and of V^T from k on, aligned with the rows and the
+        # columns of block; the rows before k are final up to sign
+        left, right = U[k:], Vt[k:]
+        block[0], block[pi] = block[pi], block[0]
+        left[0], left[pi] = left[pi], left[0]
+        for line in block:
+            line[0], line[pj] = line[pj], line[0]
+        right[0], right[pj] = right[pj], right[0]
         while True:
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if work[i][j] % work[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
+            # Alternate row and column passes until the corner's row and
+            # column are clean.  A row pass cleans the column and a column
+            # pass the row, so after each pass only the other needs a look.
+            while True:
+                _clear_first_column(block, left)
+                if not any(block[0][1:]):
                     break
+                block = _transpose(block)
+                _clear_first_column(block, right)
+                block = _transpose(block)
+                if not any(line[0] for line in block[1:]):
+                    break
+            # The corner must divide every remaining entry; if not, fold the bad row in.
+            d = block[0][0]
+            offender = next(
+                (i for i in range(1, len(block)) if any(v % d for v in block[i])), None
+            )
             if offender is None:
                 break
-            for j in range(cols):
-                work[k][j] += work[offender][j]
-            for j in range(rows):
-                U[k][j] += U[offender][j]
-            clear(k)
+            for lines in (block, left):
+                lines[0] = [u + v for u, v in zip(lines[0], lines[offender])]
+        U[k:], Vt[k:] = left, right
+        divisors[k] = block[0][0]
+        block = [line[1:] for line in block[1:]]
 
-    # Normalize signs to nonnegative (row negation keeps U unimodular).
-    for k in range(limit):
-        if work[k][k] < 0:
-            for j in range(cols):
-                work[k][j] = -work[k][j]
-            for j in range(rows):
-                U[k][j] = -U[k][j]
-
-    divisors = tuple(work[k][k] for k in range(limit))
-    Dm = IntegerMatrix.from_rows(work)
-    Um = IntegerMatrix.from_rows(U)
-    Vm = IntegerMatrix.from_rows(V)
-    return SmithDecomposition(U=Um, D=Dm, V=Vm, elementary_divisors=divisors)
+    D = [0] * (rows * cols)
+    for k, d in enumerate(divisors):
+        # Normalize signs to nonnegative (row negation keeps U unimodular).
+        if d < 0:
+            divisors[k] = d = -d
+            U[k] = [-x for x in U[k]]
+        D[k * cols + k] = d
+    return SmithDecomposition(
+        U=IntegerMatrix.from_rows(U),
+        D=IntegerMatrix(rows, cols, tuple(D)),
+        V=IntegerMatrix.from_rows(_transpose(Vt)),
+        elementary_divisors=tuple(divisors),
+    )
 
 
 def charpoly(m: IntegerMatrix) -> IntegerPolynomial:

@@ -90,6 +90,62 @@ def assert_smith_certificate(m: IntegerMatrix) -> None:
     assert math.prod(ds) == abs(det(m))
 
 
+# A -> (U, D, V), the exact transforms of the reference elimination: least
+# |entry| first in row-major order as pivot, row pass before column pass,
+# fold-in of the first row the pivot does not divide, signs fixed last.
+# The label names the step each case needs.
+SMITH_TRANSFORMS = {
+    "shear and xgcd": (
+        [[2, 4], [3, 7]],
+        [[-1, 1], [-3, 2]], [[1, 0], [0, 2]], [[1, -3], [0, 1]],
+    ),
+    "fold-in diag(2, 3)": (
+        [[2, 0], [0, 3]],
+        [[1, 1], [-3, -2]], [[1, 0], [0, 6]], [[-1, -3], [1, 2]],
+    ),
+    "fold-in of the first of two offending rows": (
+        [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+        [[1, 1, 0], [-3, -2, 1], [15, 10, -6]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 30]],
+        [[-1, -3, -15], [1, 2, 10], [0, -1, -6]],
+    ),
+    "row swap": (
+        [[5, 3], [2, 7]],
+        [[1, -2], [-2, 5]], [[1, 0], [0, 29]], [[1, 11], [0, 1]],
+    ),
+    "column swap": (
+        [[5, 2], [7, 9]],
+        [[-4, 1], [9, -2]], [[1, 0], [0, 31]], [[0, 1], [1, 13]],
+    ),
+    "negative pivot": (
+        [[-3, 6], [6, 9]],
+        [[-1, 0], [2, 1]], [[3, 0], [0, 21]], [[1, 2], [0, 1]],
+    ),
+    "4x2": (
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+        [[1, 0, 0, 0], [3, -1, 0, 0], [1, -2, 1, 0], [2, -3, 0, 1]],
+        [[1, 0], [0, 2], [0, 0], [0, 0]],
+        [[1, -2], [0, 1]],
+    ),
+    "2x4": (
+        [[2, 4, 6, 8], [3, 5, 7, 11]],
+        [[-1, 1], [3, -2]],
+        [[1, 0, 0, 0], [0, 2, 0, 0]],
+        [[1, -1, 1, -2], [0, 1, -2, -1], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ),
+    "rank 2 of 3": (
+        [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+        [[1, 0, 0], [1, 0, -1], [-2, 1, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[1, -2, 1], [0, 1, -2], [0, 0, 1]],
+    ),
+    "zero 2x3": (
+        [[0, 0, 0], [0, 0, 0]],
+        [[1, 0], [0, 1]], [[0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ),
+}
+
+
 class TestDeterminant:
     def test_identity(self):
         assert det(IntegerMatrix.identity(4)) == 1
@@ -161,6 +217,15 @@ class TestSmithNormalForm:
         snf = smith_normal_form(m)
         assert snf.U * m * snf.V == snf.D
         assert snf.elementary_divisors == (2, 2)
+
+    @pytest.mark.parametrize("label", SMITH_TRANSFORMS)
+    def test_transforms_pinned(self, label):
+        # the certificate holds for many (U, V); these are the ones callers
+        # have always received, so a rewrite of the kernel must keep them
+        a, u, d, v = SMITH_TRANSFORMS[label]
+        snf = smith_normal_form(IntegerMatrix.from_rows(a))
+        assert (snf.U.to_lists(), snf.D.to_lists(), snf.V.to_lists()) == (u, d, v)
+        assert snf.elementary_divisors == tuple(d[k][k] for k in range(min(len(d), len(d[0]))))
 
     def test_largest_divisor(self):
         assert smith_normal_form(IntegerMatrix.diagonal([1, 6])).largest_divisor() == 6
