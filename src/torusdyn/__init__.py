@@ -24,7 +24,6 @@ from .fixpoint import (
     factor_product_formula,
     growth_table,
     iterate_determinants,
-    lefschetz_number,
     periodic_subvariety_count,
     periodic_subvariety_map,
 )
@@ -45,11 +44,11 @@ from .lattice import (
     compose,
     degree,
     is_analytic,
-    is_saturated,
     polarization_multiplier,
     power,
     product,
     restrict_to_sublattice,
+    solve_mod_lattice,
 )
 from .linalg import (
     IntegerMatrix,

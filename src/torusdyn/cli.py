@@ -402,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError(f"--{flag} must be {FLAG_RANGES[flag][1]}")
             if flag not in COMMANDS[args.command].reads:
                 raise ScenarioError(f"{args.command} does not read --{flag}")
+        # quotient and subvariety read either, and --lmax would hide --l
+        if "l" in given and "lmax" in given:
+            raise ScenarioError("--l and --lmax cannot be combined")
         given.pop("scenario", None)
         opts = Options(**given, target=getattr(args, "target", "all"))
         # --all is a spelled-out synonym of the default target, never a second one

@@ -24,13 +24,13 @@ from .lattice import (
     TorsionPoint,
     power,
     restrict_to_sublattice,
+    solve_mod_lattice,
 )
 from .linalg import (
     IntegerMatrix,
     IntegerPolynomial,
     charpoly,
     det,
-    exterior_trace_sum,
     smith_normal_form,
 )
 
@@ -141,11 +141,11 @@ def fixed_grid(
     """Fix(f^l) as integer numerators over one shared denominator N.
 
     Returns (N, points) with each point a tuple a in [0, N)^n standing for
-    a / N in (1/N)Z^n / Z^n, sorted.  Solves (M^l - I) x = -t_l by Smith
-    reduction: with U K V = D the solutions are x = V y, where y_i runs
-    over the d_i translates of the transformed right-hand side, so N is
-    the lcm of d_i times the denominator of that right-hand side.  M^l
-    and t_l come from one call to power.
+    a / N in (1/N)Z^n / Z^n, sorted.  Solves (M^l - I) x = -t_l with
+    solve_mod_lattice: with U K V = D and b = U(-t_l) the solutions are
+    x = V y, where y_i runs over the d_i translates of b_i / d_i, so N is
+    the lcm of d_i times the denominator of b_i.  M^l and t_l come from
+    one call to power.
 
     The set is built as one list of numerators per coordinate: Smith axis
     i extends coordinate list r by the offsets (base + j step) V[r, i]
@@ -164,9 +164,8 @@ def fixed_grid(
         raise BudgetExceededError(
             f"enumerating {count} fixed points exceeds budget {budget}"
         )
-    t_l = f_l.translation
-    snf = smith_normal_form(k)
-    rhs = snf.U.apply([-c for c in t_l])
+    # K is nondegenerate, so no row of D is zero and a solution exists
+    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
     divisors = snf.elementary_divisors
     n = f.rank
     common = 1
@@ -298,16 +297,6 @@ def compare_exact(
         exact = abs(d)
         rows.append(ComparisonRow(l, exact, formula, exact - formula))
     return ComparisonReport(formula_label=label, rows=tuple(rows))
-
-
-def lefschetz_number(f: LatticeEndomorphism, l: int = 1) -> int:
-    """Alternating trace sum over the exterior algebra, = det(I - M^l).
-
-    Its absolute value equals count_fixed whenever the latter is defined.
-    """
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
-    return exterior_trace_sum(f.matrix**l)
 
 
 def _squarefree_part(p: IntegerPolynomial) -> list[Fraction]:

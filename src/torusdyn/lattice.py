@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import IntegerMatrix, binary_power, det, exact_fraction, smith_normal_form
+from .linalg import (
+    IntegerMatrix,
+    SmithDecomposition,
+    binary_power,
+    det,
+    exact_fraction,
+    smith_normal_form,
+)
 
 
 def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
@@ -345,11 +352,27 @@ def product(
     return torus, LatticeEndomorphism(matrix, translation)
 
 
-def is_saturated(basis: IntegerMatrix) -> bool:
-    """Full column rank with all elementary divisors 1 (primitive sublattice)."""
-    return basis.cols <= basis.rows and all(
-        d == 1 for d in smith_normal_form(basis).elementary_divisors
+def solve_mod_lattice(
+    a: IntegerMatrix, t: Sequence[Fraction]
+) -> tuple[SmithDecomposition, tuple[Fraction, ...], bool]:
+    """Smith data for a x = t (mod Z^n), and whether it has a solution.
+
+    Returns (snf, b, solvable) for the one Smith form U a V = D and
+    b = U t.  In y = V^{-1} x the system reads d_i y_i = b_i (mod Z), one
+    line per row of D.  A row with d_i != 0 is solved by y_i = b_i / d_i
+    and its d_i translates by j / d_i.  A zero row of D, one with d_i = 0
+    or one past the last divisor of a tall a, reads 0 = b_i (mod Z), so
+    the system is solvable exactly when b_i is an integer on every zero
+    row; the solutions are then x = V y.
+    """
+    snf = smith_normal_form(a)
+    b = snf.U.apply(t)
+    solvable = all(
+        c.denominator == 1
+        for d, c in itertools.zip_longest(snf.elementary_divisors, b, fillvalue=0)
+        if d == 0
     )
+    return snf, b, solvable
 
 
 def restrict_to_sublattice(
@@ -357,25 +380,25 @@ def restrict_to_sublattice(
 ) -> LatticeEndomorphism:
     """Restriction to an invariant saturated sublattice, in basis coordinates.
 
-    One Smith form U B V = [I; 0] of the k-column basis B decides
-    saturation and solves B M' = M B: that holds exactly when the rows
-    k.. of U M B vanish, and then M' = V (U M B)[:k].  The translation t
-    must lie in the span of B modulo Z^{2g}: the rows k.. of U t are
-    integral, and t' = V (U t)[:k].
+    The Smith form U B V = [I; 0] of the k-column basis B comes from
+    solve_mod_lattice(B, t).  It decides saturation and solves
+    B M' = M B: that holds exactly when the rows k.. of U M B vanish, and
+    then M' = V (U M B)[:k].  The translation t must lie in the span of B
+    modulo Z^{2g}, which is the solver's verdict on B x = t, and then
+    t' = V (U t)[:k].
     """
     if basis.rows != f.rank:
         raise ValueError("basis rows must match the ambient rank")
     if basis.cols % 2 != 0 or basis.cols > basis.rows:
         raise ValueError("basis must have even column count at most the ambient rank")
-    snf = smith_normal_form(basis)
+    snf, u_t, in_span = solve_mod_lattice(basis, f.translation)
     if any(d != 1 for d in snf.elementary_divisors):
         raise ValueError("basis is not saturated (elementary divisors must all be 1)")
     k = basis.cols
     image = (snf.U * f.matrix * basis).to_lists()
     if any(any(row) for row in image[k:]):
         raise ValueError("sublattice is not invariant under the endomorphism")
-    restricted = snf.V * IntegerMatrix.from_rows(image[:k])
-    u_t = snf.U.apply(f.translation)
-    if any(c.denominator != 1 for c in u_t[k:]):
+    if not in_span:
         raise ValueError("translation does not lie in the sublattice span modulo Z^{2g}")
+    restricted = snf.V * IntegerMatrix.from_rows(image[:k])
     return LatticeEndomorphism(restricted, snf.V.apply(u_t[:k]))

@@ -235,9 +235,6 @@ class IntegerPolynomial:
             acc = acc * x + c
         return acc
 
-    def is_monic(self) -> bool:
-        return self.degree >= 0 and self.coefficients[-1] == 1
-
     def __str__(self) -> str:
         if self.degree < 0:
             return "0"

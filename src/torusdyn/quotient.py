@@ -1,10 +1,11 @@
 """Finite groups of affine torus automorphisms and quotient fixed-point bounds.
 
 A group element is a LatticeEndomorphism x -> U x + s whose matrix U is
-unimodular.  Freeness of each non-identity element is decided exactly by
-Smith-form solvability of (U - I)x = -s over the torus.  The quotient
-itself is never built: orbit counting on the fixed set upstairs
-certifies the lower bound for fixed points downstairs.
+unimodular.  It has a fixed point exactly when (U - I) x = -s (mod Z^n)
+is solvable, which the one torus solver, lattice.solve_mod_lattice,
+decides exactly; the action is free when no non-identity element has
+one.  The quotient itself is never built: orbit counting on the fixed
+set upstairs certifies the lower bound for fixed points downstairs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fixpoint import DEFAULT_BUDGET, fixed_grid
-from .lattice import LatticeEndomorphism, TorsionPoint, compose
-from .linalg import IntegerMatrix, det, smith_normal_form
+from .lattice import LatticeEndomorphism, TorsionPoint, compose, solve_mod_lattice
+from .linalg import IntegerMatrix, det
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,6 @@ class QuotientBound:
     formula_bound: Fraction
 
 
-def _element_has_fixed_point(element: LatticeEndomorphism) -> bool:
-    """Exact solvability of (U - I)x = -s over the torus via Smith form.
-
-    Nonzero elementary divisors always admit solutions; each zero divisor
-    demands an integral transformed right-hand side.
-    """
-    n = element.rank
-    k = element.matrix - IntegerMatrix.identity(n)
-    snf = smith_normal_form(k)
-    rhs = snf.U.apply([-c for c in element.translation])
-    for d, b in zip(snf.elementary_divisors, rhs):
-        if d == 0 and b.denominator != 1:
-            return False
-    return True
-
-
 def validate_action(action: GroupAction) -> ActionReport:
     """Check closure, identity, inverses, and fixed-point freeness."""
     violations: list[str] = []
@@ -115,7 +100,8 @@ def validate_action(action: GroupAction) -> ActionReport:
     for i, a in enumerate(elements):
         if a == identity:
             continue
-        if _element_has_fixed_point(a):
+        k = a.matrix - IntegerMatrix.identity(a.rank)
+        if solve_mod_lattice(k, [-c for c in a.translation])[2]:
             free = False
             violations.append(f"freeness fails: element {i} has a fixed point")
     return ActionReport(valid=not violations, free=free, violations=tuple(violations))

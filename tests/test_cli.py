@@ -12,7 +12,7 @@ from torusdyn import (
     TorsionPoint,
     count_fixed,
     enumerate_fixed,
-    lefschetz_number,
+    exterior_trace_sum,
 )
 from torusdyn.cli import COMMANDS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
@@ -227,7 +227,7 @@ class TestVerify:
         gaussian = resolve_scenario("gaussian-cm").endomorphism
         l = 20000
         want = (
-            f"l = {l}; lefschetz = {lefschetz_number(gaussian, l)};"
+            f"l = {l}; lefschetz = {exterior_trace_sum(gaussian.matrix**l)};"
             f" fixed points = {count_fixed(gaussian, l)}"
         )
         exponents = []
@@ -388,6 +388,14 @@ class TestIterateFlags:
             assert (code, out, err) == (1, "", f"error: {command} does not read --{flag}\n")
         else:
             assert code in (0, 2), err  # a budget of 5 may refuse the fixed set
+
+    @pytest.mark.parametrize(
+        "command", [c for c in COMMANDS if {"l", "lmax"} <= set(COMMANDS[c].reads)]
+    )
+    def test_l_with_lmax_refused(self, capsys, command):
+        argv = [command, "--l", "2", "--lmax", "1", "--scenario", SCENARIO_FOR[command]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: --l and --lmax cannot be combined\n")
 
     def test_scenarios_refuses_a_scenario(self, capsys):
         code, out, err = run_cli(capsys, "scenarios", "--scenario", "mult-by-2")

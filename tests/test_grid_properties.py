@@ -7,10 +7,13 @@ grid scan and the per-point scan of tests/oracles.py must agree, and the
 orbit classes must match the Fraction oracle.  The iterate walker behind
 the growth and compare tables must match det(M**l - I) row by row, also
 on maps with a finite-order block, whose iterates are degenerate
-whenever the order divides l.
+whenever the order divides l.  The verdict of the torus solver on
+A x = t (mod Z^n) must be certified by the data it returns, on such
+degenerate iterates and on tall saturated bases.
 """
 
 import itertools
+import operator
 import random
 import re
 from collections import Counter
@@ -39,6 +42,7 @@ from torusdyn import (
     orbit_partition,
     quotient_fixed_lower_bound,
     resolve_scenario,
+    solve_mod_lattice,
     validate_action,
 )
 
@@ -139,6 +143,55 @@ def test_compare_flags_exactly_the_degenerate_rows(case):
     report = compare_exact(f, [SimpleFactorSpec(1, 2)], l_max)
     assert [r.degenerate for r in report.rows] == [d == 0 for d in dets]
     assert [r.exact_count for r in report.rows] == [abs(d) or None for d in dets]
+
+
+@st.composite
+def congruence_systems(draw) -> tuple[IntegerMatrix, tuple[Fraction, ...]]:
+    """(A, t) with t drawn on its own, A either K = M^l - I at an iterate
+    that the finite-order block's order divides (12 is the lcm of the
+    orders), or the first k columns of a random unimodular matrix."""
+    if draw(st.booleans()):
+        f = draw(maps_with_finite_order_block())
+        a = f.matrix ** draw(st.sampled_from([12, 24])) - IntegerMatrix.identity(f.rank)
+    else:
+        n = draw(st.sampled_from([2, 4, 6]))
+        k = draw(st.integers(1, n))
+        u = random_unimodular(random.Random(draw(seeds)), n)
+        a = IntegerMatrix.from_rows([row[:k] for row in u.to_lists()])
+    denominator = draw(st.integers(1, 6))
+    numerators = draw(st.lists(st.integers(-12, 12), min_size=a.rows, max_size=a.rows))
+    return a, tuple(Fraction(v, denominator) for v in numerators)
+
+
+def test_solver_verdict_is_certified_by_its_output():
+    verdicts = set()
+
+    @PROPERTIES
+    @given(congruence_systems())
+    def check(system):
+        a, t = system
+        snf, b, solvable = solve_mod_lattice(a, t)
+        verdicts.add(solvable)
+        divisors = snf.elementary_divisors
+        if solvable:
+            # y_i = b_i / d_i on the nonzero divisors, 0 elsewhere
+            y = [c / d if d else Fraction(0) for d, c in zip(divisors, b)]
+            x = snf.V.apply(y)
+            assert all((v - c).denominator == 1 for v, c in zip(a.apply(x), t))
+            return
+        # a zero row of D (a zero divisor, or past the last one) with b_i
+        # not integral; that row w of U has w A = 0 and w t not integral
+        i = next(
+            i
+            for i, c in enumerate(b)
+            if (i >= len(divisors) or divisors[i] == 0) and c.denominator != 1
+        )
+        w = snf.U.row(i)
+        assert not any(a.transpose().apply(w))
+        assert sum(map(operator.mul, w, t)).denominator != 1
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_growth_table_takes_one_product_per_row(monkeypatch):
