@@ -68,6 +68,7 @@ from .quotient import (
     lift_compatibility,
     orbit_partition,
     quotient_fixed_lower_bound,
+    quotient_table,
     validate_action,
 )
 from .scenarios import (

@@ -138,15 +138,13 @@ def _run_quotient(scenario: Scenario, opts: Options):
     if scenario.action is None:
         raise ScenarioError(f"scenario {scenario.name!r} declares no group action")
     q = _require_multiplier(scenario)
-    iterates = (
-        range(1, opts.lmax + 1) if opts.lmax is not None else (opts.l,)
-    )
-    bounds = [
-        quotient_mod.quotient_fixed_lower_bound(
-            scenario.endomorphism, scenario.action, q, l, budget=opts.budget
-        )
-        for l in iterates
-    ]
+    f, action = scenario.endomorphism, scenario.action
+    if opts.lmax is None:
+        bounds = [
+            quotient_mod.quotient_fixed_lower_bound(f, action, q, opts.l, opts.budget)
+        ]
+    else:
+        bounds = quotient_mod.quotient_table(f, action, q, opts.lmax, opts.budget)
     headers = (
         "l",
         "upstairs_count",

@@ -4,14 +4,18 @@ Ground truth is the determinant count |det(M^l - I)|, valid because
 nondegenerate fixed points are simple; an enumeration path (Smith form
 congruence solving) and a brute-force grid scan provide two independent
 cross-checks.  Growth tables and comparison reports keep every value
-exact (big integers and Fractions); they walk the iterates with one
-matrix product per row (iterate_determinants).
+exact (big integers and Fractions).  Their rows come from
+iterate_determinants: det(M^l - I) is a signed sum of the traces of
+(wedge^k M)^l, each of which obeys a linear recurrence (the rationality
+of the dynamical zeta function), and Bareiss determinants of M^l check
+the first 2^n rows and the last.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -29,8 +33,10 @@ from .lattice import (
 from .linalg import (
     IntegerMatrix,
     IntegerPolynomial,
+    binary_power,
     charpoly,
     det,
+    power_sum_polynomial,
     smith_normal_form,
 )
 
@@ -97,6 +103,21 @@ def _nondegenerate_count(l: int, d: int) -> int:
     return abs(d)
 
 
+def enumerable_count(l: int, d: int, budget: int) -> int:
+    """|d| for d = det(M^l - I), refusing what fixed_grid refuses.
+
+    A degenerate iterate raises DegenerateFixedLocusError and more than
+    budget points raise BudgetExceededError, so a caller holding a whole
+    table of determinants can refuse before the first grid is built.
+    """
+    count = _nondegenerate_count(l, d)
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumerating {count} fixed points exceeds budget {budget}"
+        )
+    return count
+
+
 def _fixed_difference(m_l: IntegerMatrix, l: int) -> tuple[IntegerMatrix, int]:
     """K = M^l - I and the count |det K|, refusing a degenerate iterate."""
     k = m_l - IntegerMatrix.identity(m_l.rows)
@@ -109,8 +130,7 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     Equals |det(M^l - I)|: each fixed point is simple, and a rational
     translation moves solutions around without changing how many there
     are.  M^l is one binary power, O(log l) products; a table over
-    l = 1..l_max goes through iterate_determinants instead, one product
-    per row.
+    l = 1..l_max goes through iterate_determinants instead.
     """
     if l < 1:
         raise ValueError("iterate must be >= 1")
@@ -122,17 +142,69 @@ def iterate_determinants(
 ) -> Iterator[tuple[int, int]]:
     """Yield (l, det(M^l - I)) for l = 1..l_max, signed and exact.
 
-    Keeps P = M^l and steps P <- P M, so the whole walk costs l_max - 1
-    matrix products and l_max determinants, not a binary power per row.
-    A zero determinant (a degenerate iterate) is yielded like any other;
-    the caller decides whether it refuses or flags it.
+    The rows come from linear recurrences, one per exterior power.  With
+    lambda the eigenvalues of the n x n matrix M, column k holds
+    s_k(l) = e_k(lambda^l) = tr((wedge^k M)^l), and
+    det(M^l - I) = sum_k (-1)^(n-k) s_k(l).  Column k obeys the recurrence
+    whose characteristic polynomial is charpoly(wedge^k M), of order
+    C(n, k); power_sum_polynomial builds it from s_k(1..C(n, k)) by
+    Newton's identities, so no exterior matrix is formed.  The seeds
+    s_k(l), l <= C(n, n/2), are signed coefficients of charpoly(M^l),
+    with M^l walked as P <- P M.  Every later row costs 2^n products of a
+    big value by a fixed coefficient, and each column keeps only its last
+    C(n, k) values.
+
+    Two paths give every checked row: Bareiss det(P - I) on the walker's
+    P pins rows 1..min(2^n, l_max), and for l_max > 2^n one binary power
+    M^l_max pins row l_max; the walk stops at row 2^n.  A mismatch raises
+    AssertionError before that row is yielded.  A zero determinant (a
+    degenerate iterate) is yielded like any other; the caller decides
+    whether it refuses or flags it.
     """
-    identity = IntegerMatrix.identity(f.rank)
+    n = f.rank
+    identity = IntegerMatrix.identity(n)
+    orders = [math.comb(n, k) for k in range(n + 1)]
+    seeded = min(l_max, orders[n // 2])
+    checked = min(l_max, 2**n)
+    seeds: list[list[int]] = [[] for _ in orders]  # seeds[k][l - 1] = s_k(l)
+    recurrences = []
     m_l = f.matrix
     for l in range(1, l_max + 1):
-        if l > 1:
+        if 1 < l <= checked:
             m_l = m_l * f.matrix
-        yield l, det(m_l - identity)
+        if l <= seeded:
+            # det(xI - M^l) = sum_k (-1)^k s_k(l) x^(n-k)
+            coefficients = charpoly(m_l).coefficients
+            values = [(-1) ** k * coefficients[n - k] for k in range(n + 1)]
+            for seed, s in zip(seeds, values):
+                seed.append(s)
+        else:
+            if not recurrences:
+                # c_order, ..., c_1 of charpoly(wedge^k M) against the
+                # window s_k(l - order), ..., s_k(l - 1)
+                recurrences = [
+                    (
+                        power_sum_polynomial(seed[:order]).coefficients[:-1],
+                        deque(seed[-order:], maxlen=order),
+                    )
+                    for seed, order in zip(seeds, orders)
+                ]
+            values = []
+            for tail, window in recurrences:
+                window.append(-sum(map(operator.mul, tail, window)))
+                values.append(window[-1])
+        d = sum(values[n::-2]) - sum(values[n - 1 :: -2])
+        if l <= checked:
+            check = m_l
+        elif l == l_max:
+            check = binary_power(f.matrix, l_max, operator.mul)
+        else:
+            check = None
+        if check is not None and det(check - identity) != d:
+            raise AssertionError(
+                f"det(M^{l} - I): the recurrence and Bareiss disagree"
+            )
+        yield l, d
 
 
 def fixed_grid(
@@ -158,16 +230,13 @@ def fixed_grid(
     produce exactly that many points (the Smith divisors multiply to the
     Bareiss determinant); anything else raises AssertionError.
     """
+    n = f.rank
     f_l = power(f, l)
-    k, count = _fixed_difference(f_l.matrix, l)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} fixed points exceeds budget {budget}"
-        )
+    k = f_l.matrix - IntegerMatrix.identity(n)
+    count = enumerable_count(l, det(k), budget)
     # K is nondegenerate, so no row of D is zero and a solution exists
     snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
     divisors = snf.elementary_divisors
-    n = f.rank
     common = 1
     for d, b in zip(divisors, rhs):
         common = math.lcm(common, d * b.denominator)
@@ -248,9 +317,10 @@ def growth_table(
 ) -> list[GrowthRow]:
     """Exact counts for l = 1..l_max against the q^{gl} asymptote.
 
-    The rows come from iterate_determinants, one matrix product each.
-    The first degenerate iterate (det(M^l - I) = 0) raises
-    DegenerateFixedLocusError, as count_fixed would at that l.
+    The rows come from iterate_determinants' exterior-power recurrences,
+    checked against Bareiss determinants.  The first degenerate iterate
+    (det(M^l - I) = 0) raises DegenerateFixedLocusError, as count_fixed
+    would at that l.
     """
     if q < 2:
         raise ValueError("multiplier q must be > 1")
@@ -281,9 +351,10 @@ def compare_exact(
 ) -> ComparisonReport:
     """Tabulate exact counts against the simple-factor product formula.
 
-    The exact column comes from iterate_determinants, one matrix product
-    per row.  The difference column is reported as-is; degenerate
-    iterates are flagged inline instead of aborting the report.
+    The exact column comes from iterate_determinants' exterior-power
+    recurrences, checked against Bareiss determinants.  The difference
+    column is reported as-is; degenerate iterates are flagged inline
+    instead of aborting the report.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -386,7 +457,7 @@ def periodic_subvariety_map(
     result is translation free: M' is the restriction of M^period to the
     sublattice spanned by the basis, in basis coordinates.  Its fixed
     points at iterate l are those of f^{period*l} on Q + B, and a table
-    over l walks M' with iterate_determinants.
+    over l takes the rows of M' from iterate_determinants.
     """
     if period < 1:
         raise ValueError("period must be >= 1")

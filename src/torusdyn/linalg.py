@@ -429,9 +429,8 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     the powers m^1..m^(s-1) and G^1, G^2, ... of G = m^s give every
     p_(i+js) = tr(m^i G^j) as one dot product of entries, so about 2 sqrt n
     matrix products are formed instead of n.  Newton's identities
-    k c_(n-k) = -sum_(i=1..k) c_(n-k+i) p_i then yield the coefficients;
-    every division by k is exact, so no rationals (let alone floats)
-    appear.
+    (power_sum_polynomial) then yield the coefficients; every division is
+    exact, so no rationals (let alone floats) appear.
     """
     if not m.is_square:
         raise NonSquareMatrixError("characteristic polynomial needs a square matrix")
@@ -455,9 +454,21 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
         if k > n:
             break
         g = g * giant
-    coeffs = [1]  # c_n, c_(n-1), ...
-    for k in range(1, n + 1):
-        total = sum(map(operator.mul, reversed(coeffs), sums[1 : k + 1]))
+    return power_sum_polynomial(sums[1:])
+
+
+def power_sum_polynomial(sums: Sequence[int]) -> IntegerPolynomial:
+    """Monic polynomial of degree N = len(sums) whose roots have power sums
+    p_1, ..., p_N = sums.
+
+    Newton's identities k c_(N-k) = -sum_(i=1..k) c_(N-k+i) p_i give the
+    coefficients.  When the p_i are the traces tr(a^i) of an integer
+    matrix a, the result is charpoly(a) and every division by k is exact;
+    an inexact one raises ArithmeticError.
+    """
+    coeffs = [1]  # c_N, c_(N-1), ...
+    for k in range(1, len(sums) + 1):
+        total = sum(map(operator.mul, reversed(coeffs), sums[:k]))
         if total % k != 0:
             raise ArithmeticError("inexact division in characteristic polynomial")
         coeffs.append(-total // k)

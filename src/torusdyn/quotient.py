@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fixpoint import DEFAULT_BUDGET, fixed_grid
+from .fixpoint import (
+    DEFAULT_BUDGET,
+    enumerable_count,
+    fixed_grid,
+    iterate_determinants,
+)
 from .lattice import LatticeEndomorphism, TorsionPoint, compose, solve_mod_lattice
 from .linalg import IntegerMatrix, det
 
@@ -208,31 +213,19 @@ def orbit_partition(
     ]
 
 
-def quotient_fixed_lower_bound(
-    f: LatticeEndomorphism,
-    action: GroupAction,
-    q: int,
-    l: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> QuotientBound:
-    """Orbit count of Fix(f^l), a certified lower bound for the quotient count.
-
-    The fixed set is taken from fixed_grid as integer numerators over one
-    shared denominator and its orbits are counted on that grid, so no
-    TorsionPoint or Fraction is built per point.  fixed_grid refuses a
-    set larger than the budget and checks that it has |det(M^l - I)|
-    points, so the upstairs count is the length of that set.  The
-    asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
-    at-most-|G|-to-1 projection argument), kept as an exact rational.
-    The multiplier-based value (q^l - 1)^g / |G| is reported for comparison
-    but never asserted.
-    """
+def _require_descent(f: LatticeEndomorphism, action: GroupAction) -> None:
+    """Refuse an invalid action, or an f that does not descend through it."""
     report = validate_action(action)
     if not report.valid:
         raise ValueError("invalid group action: " + "; ".join(report.violations))
     lift = lift_compatibility(f, action)
     if not lift.compatible:
         raise ValueError("endomorphism does not descend: " + "; ".join(lift.failures))
+
+
+def _orbit_bound(
+    f: LatticeEndomorphism, action: GroupAction, q: int, l: int, budget: int
+) -> QuotientBound:
     common, points = fixed_grid(f, l, budget)
     upstairs = len(points)
     orbit_count = len(_grid_classes(common, points, action))
@@ -252,3 +245,47 @@ def quotient_fixed_lower_bound(
         lower_bound=bound,
         formula_bound=formula,
     )
+
+
+def quotient_fixed_lower_bound(
+    f: LatticeEndomorphism,
+    action: GroupAction,
+    q: int,
+    l: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> QuotientBound:
+    """Orbit count of Fix(f^l), a certified lower bound for the quotient count.
+
+    The action is validated and f must descend through it.  The fixed set
+    is taken from fixed_grid as integer numerators over one shared
+    denominator and its orbits are counted on that grid, so no
+    TorsionPoint or Fraction is built per point.  fixed_grid refuses a
+    set larger than the budget and checks that it has |det(M^l - I)|
+    points, so the upstairs count is the length of that set.  The
+    asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
+    at-most-|G|-to-1 projection argument), kept as an exact rational.
+    The multiplier-based value (q^l - 1)^g / |G| is reported for comparison
+    but never asserted.
+    """
+    _require_descent(f, action)
+    return _orbit_bound(f, action, q, l, budget)
+
+
+def quotient_table(
+    f: LatticeEndomorphism,
+    action: GroupAction,
+    q: int,
+    l_max: int,
+    budget: int = DEFAULT_BUDGET,
+) -> list[QuotientBound]:
+    """quotient_fixed_lower_bound for l = 1..l_max, the action checked once.
+
+    Every row's det(M^l - I) comes from iterate_determinants before any
+    grid is built, so the first degenerate row, or the first past the
+    budget, is refused with fixed_grid's message without building the
+    rows before it.
+    """
+    _require_descent(f, action)
+    for l, d in iterate_determinants(f, l_max):
+        enumerable_count(l, d, budget)
+    return [_orbit_bound(f, action, q, l, budget) for l in range(1, l_max + 1)]

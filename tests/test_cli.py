@@ -14,6 +14,7 @@ from torusdyn import (
     enumerate_fixed,
     exterior_trace_sum,
 )
+from torusdyn import quotient as quotient_mod
 from torusdyn.cli import COMMANDS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
@@ -171,6 +172,33 @@ class TestQuotient:
         _, rows = parse_csv(out)
         assert rows[0] == ("1", "16", "2", "8", "8", "32")
         assert rows[1] == ("2", "4096", "2", "2048", "2048", "3200")
+
+    def test_lmax_refused_before_any_grid(self, capsys, monkeypatch):
+        # rows 1..3 fit the default budget; row 4 has 80^4 points
+        grids = []
+        monkeypatch.setattr(quotient_mod, "fixed_grid", lambda *args: grids.append(args))
+        code, out, err = run_cli(
+            capsys, "quotient", "--scenario", "bielliptic-quotient", "--lmax", "4"
+        )
+        assert (code, out, grids) == (2, "", [])
+        assert err == "error: enumerating 40960000 fixed points exceeds budget 1000000\n"
+
+    def test_action_checked_once_per_table(self, capsys, monkeypatch):
+        calls = []
+        for name in ("validate_action", "lift_compatibility"):
+            original = getattr(quotient_mod, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(quotient_mod, name, counted)
+        code, out, _ = run_cli(
+            capsys, "quotient", "--scenario", "bielliptic-quotient", "--lmax", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[-1].split()[:2] == ["3", "456976"]
+        assert sorted(calls) == ["lift_compatibility", "validate_action"]
 
 
 class TestSubvariety:

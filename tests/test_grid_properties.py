@@ -4,8 +4,9 @@ Maps are M = I + R diag(d) R' with R, R' random unimodular, so that
 det(M - I) = +-prod(d) is known by construction, plus a translation of a
 random denominator.  Enumeration, the determinant count, the brute-force
 grid scan and the per-point scan of tests/oracles.py must agree, and the
-orbit classes must match the Fraction oracle.  The iterate walker behind
-the growth and compare tables must match det(M**l - I) row by row, also
+orbit classes must match the Fraction oracle.  The exterior-power
+recurrences behind the growth and compare tables must match det(M**l - I)
+row by row, past the rows their Bareiss check covers, also
 on maps with a finite-order block, whose iterates are degenerate
 whenever the order divides l.  The verdict of the torus solver on
 A x = t (mod Z^n) must be certified by the data it returns, on such
@@ -45,6 +46,7 @@ from torusdyn import (
     solve_mod_lattice,
     validate_action,
 )
+from torusdyn import fixpoint
 
 from oracles import brute_force_scan, orbit_partition_fractions, random_unimodular
 
@@ -104,7 +106,14 @@ def maps_with_finite_order_block(draw) -> LatticeEndomorphism:
 
 
 iterate_maps = st.one_of(any_rank_maps, maps_with_finite_order_block())
-iterate_cases = st.tuples(iterate_maps, st.integers(1, 30))
+# half of the tables run past the 2^n rows that iterate_determinants
+# checks against Bareiss
+iterate_cases = iterate_maps.flatmap(
+    lambda f: st.tuples(
+        st.just(f),
+        st.integers(1, 2**f.rank + 20) | st.integers(2**f.rank + 1, 2**f.rank + 20),
+    )
+)
 
 
 def power_determinants(f: LatticeEndomorphism, l_max: int) -> list[int]:
@@ -113,12 +122,23 @@ def power_determinants(f: LatticeEndomorphism, l_max: int) -> list[int]:
     return [det(f.matrix**l - identity) for l in range(1, l_max + 1)]
 
 
-@PROPERTIES
-@given(iterate_cases)
-def test_walker_matches_binary_powers(case):
-    f, l_max = case
-    walked = list(iterate_determinants(f, l_max))
-    assert walked == list(enumerate(power_determinants(f, l_max), start=1))
+def test_recurrence_matches_binary_powers():
+    ranks_past, degenerate_past = set(), set()
+
+    @PROPERTIES
+    @given(iterate_cases)
+    def check(case):
+        f, l_max = case
+        dets = power_determinants(f, l_max)
+        assert list(iterate_determinants(f, l_max)) == list(enumerate(dets, start=1))
+        if l_max > 2**f.rank:
+            ranks_past.add(f.rank)
+            degenerate_past.add(0 in dets[2**f.rank :])
+
+    check()
+    # rows past the Bareiss-checked range, degenerate ones among them, at every rank
+    assert ranks_past == {2, 4, 6}
+    assert True in degenerate_past
 
 
 @PROPERTIES
@@ -212,6 +232,42 @@ def test_growth_table_takes_one_product_per_row(monkeypatch):
     assert len(growth_table(gaussian, 2, 1, 200)) == 200
     assert calls["__pow__"] == 0
     assert calls["__mul__"] <= 200 + 2
+
+
+def counted_dets(monkeypatch, perturb=None):
+    """Count the Bareiss calls of the tables; perturb adds 1 to that call's value."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return det(m) + (len(calls) == perturb)
+
+    monkeypatch.setattr(fixpoint, "det", counted)
+    return calls
+
+
+def test_growth_table_takes_a_det_per_checked_row(monkeypatch):
+    # rank 2: Bareiss on rows 1..2^2 and once on M^2000
+    gaussian = resolve_scenario("gaussian-cm").endomorphism
+    calls = counted_dets(monkeypatch)
+    assert len(growth_table(gaussian, 2, 1, 2000)) == 2000
+    assert len(calls) == 4 + 1
+
+
+@pytest.mark.parametrize(
+    "name, l_max, perturb",
+    [
+        ("gaussian-cm", 2000, 1),  # a seeded row
+        ("gaussian-cm", 2000, 4),  # the last walker row, past the seeds
+        ("gaussian-cm", 2000, 5),  # the binary power at l_max
+        ("mult-by-2-g2", 16, 16),  # l_max = 2^n, checked by the walker
+    ],
+)
+def test_perturbed_bareiss_value_raises(monkeypatch, name, l_max, perturb):
+    f = resolve_scenario(name).endomorphism
+    counted_dets(monkeypatch, perturb)
+    with pytest.raises(AssertionError, match="recurrence and Bareiss disagree"):
+        growth_table(f, 2, 1, l_max)
 
 
 def free_cyclic_action(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from torusdyn import (
     orbit_partition,
     power,
     quotient_fixed_lower_bound,
+    quotient_table,
     validate_action,
 )
-from torusdyn.fixpoint import BudgetExceededError
+from torusdyn import quotient
+from torusdyn.fixpoint import BudgetExceededError, DegenerateFixedLocusError
 
 HALF = Fraction(1, 2)
 
@@ -179,6 +182,31 @@ class TestQuotientBound:
         for l in (1, 2):
             bound = quotient_fixed_lower_bound(f, action, 9, l)
             assert len(action) * bound.orbit_count >= bound.upstairs_count
+
+
+class TestQuotientTable:
+    def test_rows_match_single_iterates(self):
+        f = LatticeEndomorphism.multiplication_by(3, 2)
+        action = bielliptic_action()
+        assert quotient_table(f, action, 9, 2) == [
+            quotient_fixed_lower_bound(f, action, 9, l) for l in (1, 2)
+        ]
+
+    def test_degenerate_row_refused_before_any_grid(self, monkeypatch):
+        # [-1] descends and fixes 16 points at l = 1, but M^2 - I = 0
+        grids = []
+        monkeypatch.setattr(quotient, "fixed_grid", lambda *args: grids.append(args))
+        with pytest.raises(DegenerateFixedLocusError, match=re.escape("det(M^2 - I) = 0")):
+            quotient_table(
+                LatticeEndomorphism.multiplication_by(-1, 2), bielliptic_action(), 2, 3
+            )
+        assert grids == []
+
+    def test_incompatible_lift_rejected(self):
+        with pytest.raises(ValueError, match="descend"):
+            quotient_table(
+                LatticeEndomorphism.multiplication_by(2, 2), bielliptic_action(), 4, 2
+            )
 
 
 class TestOrbitPartition:
