@@ -29,7 +29,7 @@ from .lattice import (
     grid_residues,
     polarization_multiplier,
 )
-from .linalg import IntegerMatrix, exterior_trace_sum
+from .linalg import IntegerMatrix, det, exterior_trace_sum
 from .report import Report, render_csv, render_table
 from .scenarios import (
     BUILTIN_DESCRIPTIONS,
@@ -140,11 +140,9 @@ def _run_quotient(scenario: Scenario, opts: Options):
     q = _require_multiplier(scenario)
     f, action = scenario.endomorphism, scenario.action
     if opts.lmax is None:
-        bounds = [
-            quotient_mod.quotient_fixed_lower_bound(f, action, q, opts.l, opts.budget)
-        ]
+        bounds = [quotient_mod.quotient_fixed_lower_bound(f, action, q, opts.l)]
     else:
-        bounds = quotient_mod.quotient_table(f, action, q, opts.lmax, opts.budget)
+        bounds = quotient_mod.quotient_table(f, action, q, opts.lmax)
     headers = (
         "l",
         "upstairs_count",
@@ -209,7 +207,8 @@ def _verify_lefschetz(scenario: Scenario, opts: Options):
     # one power M^l, read twice: by exterior traces and by a Bareiss det
     m_l = scenario.endomorphism.matrix**opts.l
     lef = exterior_trace_sum(m_l)
-    count = fixpoint._fixed_difference(m_l, opts.l)[1]
+    k = m_l - IntegerMatrix.identity(m_l.rows)
+    count = fixpoint.nondegenerate_count(opts.l, det(k))
     detail = f"l = {opts.l}; lefschetz = {lef}; fixed points = {count}"
     return [("", _status(abs(lef) == count), detail)]
 
@@ -293,7 +292,7 @@ COMMANDS = {
     "quotient": Command(
         "orbit counts and the |G|-to-1 lower bound",
         _run_quotient,
-        ("scenario", "l", "lmax", "budget"),
+        ("scenario", "l", "lmax"),
     ),
     "subvariety": Command(
         "counts on an invariant subtorus translate",
@@ -350,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="max grid points / enumerated points (default 1000000)",
+        help="max enumerated points for enumerate (default 1000000)",
     )
     common.add_argument(
         "--tolerance",

@@ -94,34 +94,13 @@ class EigenvalueCheck:
     roots: tuple[complex, ...]
 
 
-def _nondegenerate_count(l: int, d: int) -> int:
+def nondegenerate_count(l: int, d: int) -> int:
     """|d| for d = det(M^l - I), refusing a degenerate iterate."""
     if d == 0:
         raise DegenerateFixedLocusError(
             f"det(M^{l} - I) = 0: positive-dimensional fixed locus possible"
         )
     return abs(d)
-
-
-def enumerable_count(l: int, d: int, budget: int) -> int:
-    """|d| for d = det(M^l - I), refusing what fixed_grid refuses.
-
-    A degenerate iterate raises DegenerateFixedLocusError and more than
-    budget points raise BudgetExceededError, so a caller holding a whole
-    table of determinants can refuse before the first grid is built.
-    """
-    count = _nondegenerate_count(l, d)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} fixed points exceeds budget {budget}"
-        )
-    return count
-
-
-def _fixed_difference(m_l: IntegerMatrix, l: int) -> tuple[IntegerMatrix, int]:
-    """K = M^l - I and the count |det K|, refusing a degenerate iterate."""
-    k = m_l - IntegerMatrix.identity(m_l.rows)
-    return k, _nondegenerate_count(l, det(k))
 
 
 def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
@@ -134,7 +113,7 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     """
     if l < 1:
         raise ValueError("iterate must be >= 1")
-    return _fixed_difference(f.matrix**l, l)[1]
+    return nondegenerate_count(l, det(f.matrix**l - IntegerMatrix.identity(f.rank)))
 
 
 def iterate_determinants(
@@ -233,7 +212,11 @@ def fixed_grid(
     n = f.rank
     f_l = power(f, l)
     k = f_l.matrix - IntegerMatrix.identity(n)
-    count = enumerable_count(l, det(k), budget)
+    count = nondegenerate_count(l, det(k))
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumerating {count} fixed points exceeds budget {budget}"
+        )
     # K is nondegenerate, so no row of D is zero and a solution exists
     snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
     divisors = snf.elementary_divisors
@@ -290,7 +273,8 @@ def brute_force_count(
     Refuses (never truncates) past the budget.
     """
     f_l = power(f, l)
-    k, _ = _fixed_difference(f_l.matrix, l)
+    k = f_l.matrix - IntegerMatrix.identity(f.rank)
+    nondegenerate_count(l, det(k))  # refuses a degenerate iterate
     t_l = f_l.translation
     d_max = smith_normal_form(k).largest_divisor()
     r = math.lcm(*(c.denominator for c in t_l))
@@ -328,7 +312,7 @@ def growth_table(
         raise ValueError("l_max must be >= 1")
     rows = []
     for l, d in iterate_determinants(f, l_max):
-        exact = _nondegenerate_count(l, d)
+        exact = nondegenerate_count(l, d)
         asymptote = q ** (g * l)
         rows.append(GrowthRow(l, exact, asymptote, Fraction(exact, asymptote)))
     return rows

@@ -4,8 +4,11 @@ A group element is a LatticeEndomorphism x -> U x + s whose matrix U is
 unimodular.  It has a fixed point exactly when (U - I) x = -s (mod Z^n)
 is solvable, which the one torus solver, lattice.solve_mod_lattice,
 decides exactly; the action is free when no non-identity element has
-one.  The quotient itself is never built: orbit counting on the fixed
-set upstairs certifies the lower bound for fixed points downstairs.
+one.  The quotient itself is never built.  An f that descends comes
+with its lift map pi, f g = pi(g) f, which need not be a bijection; for a
+free action the classes of Fix(f^l) upstairs all have |H_l| points,
+H_l = {g : pi^l(g) = g}, so their number, the lower bound for fixed
+points downstairs, is |det(M^l - I)| / |H_l| and no point is enumerated.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fixpoint import (
-    DEFAULT_BUDGET,
-    enumerable_count,
-    fixed_grid,
-    iterate_determinants,
-)
+from .fixpoint import count_fixed, iterate_determinants, nondegenerate_count
 from .lattice import LatticeEndomorphism, TorsionPoint, compose, solve_mod_lattice
 from .linalg import IntegerMatrix, det
 
@@ -65,7 +63,10 @@ class ActionReport:
 
 @dataclass(frozen=True)
 class LiftReport:
-    """Matching permutation for f g = g' f, or the named failures."""
+    """The lift map, permutation[i] = j when f g_i = g_j f, or the failures.
+
+    It need not be a bijection: [2] sends every 2-torsion translation to 0.
+    """
 
     compatible: bool
     permutation: tuple[int, ...] = ()
@@ -116,7 +117,8 @@ def lift_compatibility(f: LatticeEndomorphism, action: GroupAction) -> LiftRepor
     """For each g find g' in the group with f g = g' f as torus maps.
 
     Matrix parts must agree exactly; translations up to Z^{2g}.  The
-    matching permutation witnesses that f descends to the quotient.
+    matching map g -> g', which need not be a bijection, witnesses that
+    f descends to the quotient.
     """
     if f.rank != action.rank:
         raise ValueError("endomorphism and action ranks differ")
@@ -199,8 +201,8 @@ def orbit_partition(
     Two points are related when some group element maps one to the other;
     images outside the given set are ignored (classes may be smaller than
     full orbits).  The points are put over their common denominator and
-    classified on that integer grid by the helper quotient_fixed_lower_bound
-    uses; the TorsionPoints themselves are only handed back.
+    classified on that integer grid by _grid_classes; the TorsionPoints
+    themselves are only handed back.
     """
     common = math.lcm(*(c.denominator for p in points for c in p.coordinates))
     numerators = [
@@ -213,79 +215,85 @@ def orbit_partition(
     ]
 
 
-def _require_descent(f: LatticeEndomorphism, action: GroupAction) -> None:
-    """Refuse an invalid action, or an f that does not descend through it."""
+def _require_descent(f: LatticeEndomorphism, action: GroupAction) -> tuple[int, ...]:
+    """Refuse an invalid action, or an f that does not descend through it.
+
+    Returns the lift map pi of lift_compatibility, f g = pi(g) f.
+    """
     report = validate_action(action)
     if not report.valid:
         raise ValueError("invalid group action: " + "; ".join(report.violations))
     lift = lift_compatibility(f, action)
     if not lift.compatible:
         raise ValueError("endomorphism does not descend: " + "; ".join(lift.failures))
+    return lift.permutation
+
+
+def _cycle_lengths(lift: Sequence[int]) -> list[int]:
+    """Length of the lift-map cycle through each element, 0 off every cycle.
+
+    The map need not be a bijection, so each walk stops after |G| steps.
+    """
+    lengths = []
+    for start in range(len(lift)):
+        walk = [lift[start]]
+        while walk[-1] != start and len(walk) < len(lift):
+            walk.append(lift[walk[-1]])
+        lengths.append(len(walk) if walk[-1] == start else 0)
+    return lengths
 
 
 def _orbit_bound(
-    f: LatticeEndomorphism, action: GroupAction, q: int, l: int, budget: int
+    f: LatticeEndomorphism, order: int, q: int, l: int, upstairs: int, cycles: list[int]
 ) -> QuotientBound:
-    common, points = fixed_grid(f, l, budget)
-    upstairs = len(points)
-    orbit_count = len(_grid_classes(common, points, action))
-    order = len(action)
-    bound = Fraction(upstairs, order)
-    if orbit_count < bound:
+    # H_l = {g : pi^l(g) = g} moves each fixed point to fixed points only,
+    # and freely, so every class of Fix(f^l) has |H_l| points
+    stabilizer = sum(1 for c in cycles if c and l % c == 0)
+    if not stabilizer or upstairs % stabilizer:
         raise AssertionError(
-            "orbit count fell below |Fix|/|G|; this should be impossible"
+            f"|H_{l}| = {stabilizer} does not divide |Fix(f^{l})| = {upstairs}"
         )
-    g = f.g
-    formula = Fraction((q**l - 1) ** g, order)
+    formula = Fraction((q**l - 1) ** f.g, order)
     return QuotientBound(
         l=l,
         upstairs_count=upstairs,
         group_order=order,
-        orbit_count=orbit_count,
-        lower_bound=bound,
+        orbit_count=upstairs // stabilizer,
+        lower_bound=Fraction(upstairs, order),
         formula_bound=formula,
     )
 
 
 def quotient_fixed_lower_bound(
-    f: LatticeEndomorphism,
-    action: GroupAction,
-    q: int,
-    l: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    f: LatticeEndomorphism, action: GroupAction, q: int, l: int = 1
 ) -> QuotientBound:
     """Orbit count of Fix(f^l), a certified lower bound for the quotient count.
 
-    The action is validated and f must descend through it.  The fixed set
-    is taken from fixed_grid as integer numerators over one shared
-    denominator and its orbits are counted on that grid, so no
-    TorsionPoint or Fraction is built per point.  fixed_grid refuses a
-    set larger than the budget and checks that it has |det(M^l - I)|
-    points, so the upstairs count is the length of that set.  The
-    asserted inequality is orbit_count >= |Fix(f^l)| / |G| (the
-    at-most-|G|-to-1 projection argument), kept as an exact rational.
-    The multiplier-based value (q^l - 1)^g / |G| is reported for comparison
-    but never asserted.
+    The action is validated (it must be free) and f must descend through
+    it, f g = pi(g) f.  For x in Fix(f^l), f^l(g x) = pi^l(g)(x), so g x is
+    fixed exactly when g^-1 pi^l(g) fixes x, which for a free action means
+    pi^l(g) = g.  Those g form H_l, each class of the fixed set has |H_l|
+    points, and orbit_count = |det(M^l - I)| / |H_l|; no point is built.
+    pi need not be a bijection: g is in H_l when it lies on a pi-cycle
+    whose length divides l.  |H_l| must divide the upstairs count, or
+    AssertionError is raised.  lower_bound is |Fix(f^l)| / |G|, kept as
+    an exact rational; the multiplier-based value (q^l - 1)^g / |G| is
+    reported for comparison but never asserted.
     """
-    _require_descent(f, action)
-    return _orbit_bound(f, action, q, l, budget)
+    cycles = _cycle_lengths(_require_descent(f, action))
+    return _orbit_bound(f, len(action), q, l, count_fixed(f, l), cycles)
 
 
 def quotient_table(
-    f: LatticeEndomorphism,
-    action: GroupAction,
-    q: int,
-    l_max: int,
-    budget: int = DEFAULT_BUDGET,
+    f: LatticeEndomorphism, action: GroupAction, q: int, l_max: int
 ) -> list[QuotientBound]:
     """quotient_fixed_lower_bound for l = 1..l_max, the action checked once.
 
-    Every row's det(M^l - I) comes from iterate_determinants before any
-    grid is built, so the first degenerate row, or the first past the
-    budget, is refused with fixed_grid's message without building the
-    rows before it.
+    Every row's det(M^l - I) comes from iterate_determinants; a degenerate
+    row is refused with count_fixed's message.
     """
-    _require_descent(f, action)
-    for l, d in iterate_determinants(f, l_max):
-        enumerable_count(l, d, budget)
-    return [_orbit_bound(f, action, q, l, budget) for l in range(1, l_max + 1)]
+    cycles = _cycle_lengths(_require_descent(f, action))
+    return [
+        _orbit_bound(f, len(action), q, l, nondegenerate_count(l, d), cycles)
+        for l, d in iterate_determinants(f, l_max)
+    ]

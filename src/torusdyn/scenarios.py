@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .intersection import standard_symplectic_form
 from .lattice import (
     ComplexTorus,
     LatticeEndomorphism,
@@ -324,16 +325,14 @@ def save_scenario_file(scenario: Scenario, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # builtin library
 
-S_BLOCK = IntegerMatrix.from_rows([[0, -1], [1, 0]])
-
-
 def _cm_torus(g: int) -> ComplexTorus:
     """Product of g square CM elliptic curves with the product Riemann form.
 
     On each curve multiplication by i and the Riemann form are the same
-    integer block S_BLOCK.
+    integer block [[0, -1], [1, 0]], so both are the standard symplectic
+    form.
     """
-    blocks = IntegerMatrix.block_diagonal([S_BLOCK] * g)
+    blocks = standard_symplectic_form(g)
     return ComplexTorus(g, complex_structure=blocks, riemann_form=blocks)
 
 

@@ -14,7 +14,7 @@ from torusdyn import (
     enumerate_fixed,
     exterior_trace_sum,
 )
-from torusdyn import quotient as quotient_mod
+from torusdyn import fixpoint, quotient as quotient_mod
 from torusdyn.cli import COMMANDS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
@@ -173,15 +173,19 @@ class TestQuotient:
         assert rows[0] == ("1", "16", "2", "8", "8", "32")
         assert rows[1] == ("2", "4096", "2", "2048", "2048", "3200")
 
-    def test_lmax_refused_before_any_grid(self, capsys, monkeypatch):
-        # rows 1..3 fit the default budget; row 4 has 80^4 points
-        grids = []
-        monkeypatch.setattr(quotient_mod, "fixed_grid", lambda *args: grids.append(args))
+    def test_lmax_counts_without_any_grid(self, capsys, monkeypatch):
+        # row 4 has 80^4 fixed points upstairs, past the enumeration budget
+        def refuse(*args):
+            raise AssertionError("the quotient path must not enumerate")
+
+        monkeypatch.setattr(fixpoint, "fixed_grid", refuse)
+        monkeypatch.setattr(quotient_mod, "_grid_classes", refuse)
         code, out, err = run_cli(
             capsys, "quotient", "--scenario", "bielliptic-quotient", "--lmax", "4"
         )
-        assert (code, out, grids) == (2, "", [])
-        assert err == "error: enumerating 40960000 fixed points exceeds budget 1000000\n"
+        assert (code, err) == (0, "")
+        last = out.splitlines()[-1].split()
+        assert last == ["4", "40960000", "2", "20480000", "20480000", "21516800"]
 
     def test_action_checked_once_per_table(self, capsys, monkeypatch):
         calls = []

@@ -40,6 +40,7 @@ from torusdyn import (
     enumerate_fixed,
     growth_table,
     iterate_determinants,
+    lift_compatibility,
     orbit_partition,
     quotient_fixed_lower_bound,
     resolve_scenario,
@@ -397,6 +398,35 @@ def test_quotient_orbit_count_matches_fraction_oracle(seed, rank, m, l):
     for action in free_actions(random.Random(seed), rank):
         bound = quotient_fixed_lower_bound(f, action, m * m, l)
         assert bound.orbit_count == len(orbit_partition_fractions(points, action))
+
+
+def two_torsion_translations() -> GroupAction:
+    """The four translations by 2-torsion points of R^2 / Z^2."""
+    return GroupAction(tuple(
+        LatticeEndomorphism(IntegerMatrix.identity(2), (Fraction(a, 2), Fraction(b, 2)))
+        for a in range(2)
+        for b in range(2)
+    ))
+
+
+@pytest.mark.parametrize(
+    "rows, lift",
+    [
+        ([[1, 1], [1, 0]], (0, 2, 3, 1)),  # the non-identity elements in a 3-cycle
+        ([[2, 0], [0, 2]], (0, 0, 0, 0)),  # every element to the identity
+        ([[3, 1], [1, 1]], (0, 3, 3, 0)),  # neither injective nor constant
+    ],
+    ids=["3-cycle", "to-identity", "mixed"],
+)
+def test_orbit_count_follows_a_non_identity_lift(rows, lift):
+    # f (x + s) = f(x) + M s, so f descends with lift map s -> M s mod Z^2
+    f = LatticeEndomorphism(IntegerMatrix.from_rows(rows), (Fraction(1, 3), Fraction(0)))
+    action = two_torsion_translations()
+    assert lift_compatibility(f, action).permutation == lift
+    for l in range(1, 7):
+        bound = quotient_fixed_lower_bound(f, action, 2, l)
+        expected = len(orbit_partition_fractions(enumerate_fixed(f, l), action))
+        assert bound.orbit_count == expected, l
 
 
 @pytest.mark.parametrize("bad", [Fraction(-1, 2), Fraction(3, 2), Fraction(1)])

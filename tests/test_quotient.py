@@ -19,8 +19,8 @@ from torusdyn import (
     quotient_table,
     validate_action,
 )
-from torusdyn import quotient
-from torusdyn.fixpoint import BudgetExceededError, DegenerateFixedLocusError
+from torusdyn import fixpoint, quotient
+from torusdyn.fixpoint import DegenerateFixedLocusError
 
 HALF = Fraction(1, 2)
 
@@ -166,15 +166,17 @@ class TestQuotientBound:
                 1,
             )
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            quotient_fixed_lower_bound(
-                LatticeEndomorphism.multiplication_by(3, 2),
-                bielliptic_action(),
-                9,
-                3,
-                budget=1000,
-            )
+    def test_no_grid_built(self, monkeypatch):
+        # 456,976 fixed points at l = 3, counted without enumerating any
+        def refuse(*args):
+            raise AssertionError("the quotient path must not enumerate")
+
+        monkeypatch.setattr(fixpoint, "fixed_grid", refuse)
+        monkeypatch.setattr(quotient, "_grid_classes", refuse)
+        bound = quotient_fixed_lower_bound(
+            LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, 3
+        )
+        assert (bound.upstairs_count, bound.orbit_count) == (456976, 228488)
 
     def test_group_times_orbits_covers_fixed_set(self):
         f = LatticeEndomorphism.multiplication_by(3, 2)
@@ -195,7 +197,8 @@ class TestQuotientTable:
     def test_degenerate_row_refused_before_any_grid(self, monkeypatch):
         # [-1] descends and fixes 16 points at l = 1, but M^2 - I = 0
         grids = []
-        monkeypatch.setattr(quotient, "fixed_grid", lambda *args: grids.append(args))
+        monkeypatch.setattr(fixpoint, "fixed_grid", lambda *args: grids.append(args))
+        monkeypatch.setattr(quotient, "_grid_classes", lambda *args: grids.append(args))
         with pytest.raises(DegenerateFixedLocusError, match=re.escape("det(M^2 - I) = 0")):
             quotient_table(
                 LatticeEndomorphism.multiplication_by(-1, 2), bielliptic_action(), 2, 3
