@@ -13,9 +13,10 @@ the first 2^n rows and the last.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -37,6 +38,7 @@ from .linalg import (
     charpoly,
     det,
     power_sum_polynomial,
+    power_sums,
     smith_normal_form,
 )
 
@@ -121,68 +123,50 @@ def iterate_determinants(
 ) -> Iterator[tuple[int, int]]:
     """Yield (l, det(M^l - I)) for l = 1..l_max, signed and exact.
 
-    The rows come from linear recurrences, one per exterior power.  With
+    The rows come from power sums, one sequence per exterior power.  With
     lambda the eigenvalues of the n x n matrix M, column k holds
     s_k(l) = e_k(lambda^l) = tr((wedge^k M)^l), and
-    det(M^l - I) = sum_k (-1)^(n-k) s_k(l).  Column k obeys the recurrence
-    whose characteristic polynomial is charpoly(wedge^k M), of order
-    C(n, k); power_sum_polynomial builds it from s_k(1..C(n, k)) by
-    Newton's identities, so no exterior matrix is formed.  The seeds
-    s_k(l), l <= C(n, n/2), are signed coefficients of charpoly(M^l),
-    with M^l walked as P <- P M.  Every later row costs 2^n products of a
-    big value by a fixed coefficient, and each column keeps only its last
-    C(n, k) values.
+    det(M^l - I) = sum_k (-1)^(n-k) s_k(l).  Column k is power_sums of
+    charpoly(wedge^k M), of degree C(n, k), which power_sum_polynomial
+    builds from s_k(1..C(n, k)) by Newton's identities, so no exterior
+    matrix is formed.  The seed s_k(l) is a signed coefficient of
+    charpoly(M^l), built the same way from its power sums tr(M^(l i)),
+    i <= n, which are power sums of charpoly(M): one charpoly in all.
+    Only min(l_max, C(n, n/2)) seed rows are formed; a column longer than
+    l_max is built from its first l_max values, whose power sums agree
+    with the column up to l_max.
 
-    Two paths give every checked row: Bareiss det(P - I) on the walker's
-    P pins rows 1..min(2^n, l_max), and for l_max > 2^n one binary power
-    M^l_max pins row l_max; the walk stops at row 2^n.  A mismatch raises
-    AssertionError before that row is yielded.  A zero determinant (a
-    degenerate iterate) is yielded like any other; the caller decides
-    whether it refuses or flags it.
+    Two paths give every checked row: Bareiss det(P - I) on the walked
+    P = M^l, stepped as P <- P M, pins rows 1..min(2^n, l_max), and for
+    l_max > 2^n one binary power M^l_max pins row l_max; the walk stops at
+    row 2^n.  A mismatch raises AssertionError before that row is
+    yielded.  A zero determinant (a degenerate iterate) is yielded like
+    any other; the caller decides whether it refuses or flags it.
     """
     n = f.rank
-    identity = IntegerMatrix.identity(n)
     orders = [math.comb(n, k) for k in range(n + 1)]
     seeded = min(l_max, orders[n // 2])
+    traces = list(itertools.islice(power_sums(charpoly(f.matrix)), n * seeded))
+    # det(xI - M^l) = sum_k (-1)^k s_k(l) x^(n-k)
+    charpolys = [
+        power_sum_polynomial(traces[l - 1 : n * l : l]).coefficients
+        for l in range(1, seeded + 1)
+    ]
+    columns = [
+        power_sums(power_sum_polynomial([(-1) ** k * c[n - k] for c in charpolys[:order]]))
+        for k, order in enumerate(orders)
+    ]
+    identity = IntegerMatrix.identity(n)
     checked = min(l_max, 2**n)
-    seeds: list[list[int]] = [[] for _ in orders]  # seeds[k][l - 1] = s_k(l)
-    recurrences = []
     m_l = f.matrix
-    for l in range(1, l_max + 1):
+    for l, values in zip(range(1, l_max + 1), zip(*columns)):
+        d = sum(values[n::-2]) - sum(values[n - 1 :: -2])
         if 1 < l <= checked:
             m_l = m_l * f.matrix
-        if l <= seeded:
-            # det(xI - M^l) = sum_k (-1)^k s_k(l) x^(n-k)
-            coefficients = charpoly(m_l).coefficients
-            values = [(-1) ** k * coefficients[n - k] for k in range(n + 1)]
-            for seed, s in zip(seeds, values):
-                seed.append(s)
-        else:
-            if not recurrences:
-                # c_order, ..., c_1 of charpoly(wedge^k M) against the
-                # window s_k(l - order), ..., s_k(l - 1)
-                recurrences = [
-                    (
-                        power_sum_polynomial(seed[:order]).coefficients[:-1],
-                        deque(seed[-order:], maxlen=order),
-                    )
-                    for seed, order in zip(seeds, orders)
-                ]
-            values = []
-            for tail, window in recurrences:
-                window.append(-sum(map(operator.mul, tail, window)))
-                values.append(window[-1])
-        d = sum(values[n::-2]) - sum(values[n - 1 :: -2])
-        if l <= checked:
-            check = m_l
-        elif l == l_max:
-            check = binary_power(f.matrix, l_max, operator.mul)
-        else:
-            check = None
-        if check is not None and det(check - identity) != d:
-            raise AssertionError(
-                f"det(M^{l} - I): the recurrence and Bareiss disagree"
-            )
+        if l <= checked or l == l_max:
+            check = m_l if l <= checked else binary_power(f.matrix, l_max, operator.mul)
+            if det(check - identity) != d:
+                raise AssertionError(f"det(M^{l} - I): the recurrence and Bareiss disagree")
         yield l, d
 
 

@@ -12,16 +12,18 @@ operations are that step run on the transposed block, with V held as
 V^T.  The Pfaffian uses fraction-free skew elimination.  Characteristic
 polynomials come from the power sums tr(m^k), formed by baby and giant
 steps from about 2 sqrt(n) matrix products, and Newton's identities,
-whose divisions are exact.
+whose divisions are exact; power_sums runs them the other way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def exact_fraction(value) -> Fraction:
@@ -473,6 +475,25 @@ def power_sum_polynomial(sums: Sequence[int]) -> IntegerPolynomial:
             raise ArithmeticError("inexact division in characteristic polynomial")
         coeffs.append(-total // k)
     return IntegerPolynomial(tuple(reversed(coeffs)))
+
+
+def power_sums(p: IntegerPolynomial) -> Iterator[int]:
+    """Yield the power sums p_1, p_2, ... of the roots of the monic p, without end.
+
+    The inverse of power_sum_polynomial: Newton's identities give p_1..p_N,
+    N = deg p, and then p_k = -sum_(i=1..N) c_(N-i) p_(k-i), the linear
+    recurrence with characteristic polynomial p, holding the last N values.
+    """
+    if p.coefficients[-1] != 1:
+        raise ValueError("power sums need a monic polynomial")
+    tail = p.coefficients[-2::-1]  # c_(N-1), ..., c_0
+    window = deque(maxlen=len(tail))  # p_(k-1), p_(k-2), ...
+    for k in itertools.count(1):
+        total = sum(map(operator.mul, tail, window))
+        if k <= len(tail):
+            total += k * tail[k - 1]
+        window.appendleft(-total)
+        yield -total
 
 
 def _pfaffian_eliminate(a: list[list[int]]) -> int:

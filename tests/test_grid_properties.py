@@ -14,6 +14,7 @@ degenerate iterates and on tall saturated bases.
 """
 
 import itertools
+import math
 import operator
 import random
 import re
@@ -49,7 +50,12 @@ from torusdyn import (
 )
 from torusdyn import fixpoint
 
-from oracles import brute_force_scan, orbit_partition_fractions, random_unimodular
+from oracles import (
+    brute_force_scan,
+    orbit_partition_fractions,
+    random_matrix,
+    random_unimodular,
+)
 
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -215,24 +221,79 @@ def test_solver_verdict_is_certified_by_its_output():
     assert verdicts == {True, False}
 
 
-def test_growth_table_takes_one_product_per_row(monkeypatch):
-    gaussian = resolve_scenario("gaussian-cm").endomorphism
-    calls = Counter()
+@pytest.mark.parametrize(
+    "rank, l_max, seed",
+    [
+        (8, 5, 1),
+        (8, 80, 2),  # past the C(8, 4) = 70 seed rows, below 2^8 = 256
+        (16, 3, 3),  # C(16, 8) = 12,870 seed rows if l_max did not bound them
+    ],
+)
+def test_tables_at_ranks_8_and_16(monkeypatch, rank, l_max, seed):
+    f = LatticeEndomorphism(random_matrix(random.Random(seed), rank))
+    seeded = min(l_max, math.comb(rank, rank // 2))
+    polynomials = []
+    power_sum_polynomial, power_sums = fixpoint.power_sum_polynomial, fixpoint.power_sums
 
-    def count_calls(name):
+    def counted(sums):
+        polynomials.append(len(sums))
+        return power_sum_polynomial(sums)
+
+    def bounded(p):
+        # the longest sequence drawn is tr(M^j), j <= n * seeded; an unbounded
+        # seed phase fails here at once instead of running for minutes
+        for j, s in enumerate(power_sums(p), 1):
+            assert j <= rank * seeded, "more traces than the seed rows need"
+            yield s
+
+    monkeypatch.setattr(fixpoint, "power_sum_polynomial", counted)
+    monkeypatch.setattr(fixpoint, "power_sums", bounded)
+    dets = power_determinants(f, l_max)
+    assert list(iterate_determinants(f, l_max)) == list(enumerate(dets, start=1))
+    # charpoly(M^l) for each seed row, then one polynomial per column
+    # k = 0..n from its first min(l_max, C(n, k)) values
+    assert polynomials == [rank] * seeded + [
+        min(l_max, math.comb(rank, k)) for k in range(rank + 1)
+    ]
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Count the calls of the named IntegerMatrix methods from now on."""
+    calls = Counter()
+    for name in names:
         original = getattr(IntegerMatrix, name)
 
-        def counted(*args):
+        def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(IntegerMatrix, name, counted)
+    return calls
 
-    count_calls("__mul__")
-    count_calls("__pow__")
+
+def test_growth_table_takes_one_product_per_row(monkeypatch):
+    gaussian = resolve_scenario("gaussian-cm").endomorphism
+    calls = count_calls(monkeypatch, "__mul__", "__pow__")
     assert len(growth_table(gaussian, 2, 1, 200)) == 200
     assert calls["__pow__"] == 0
-    assert calls["__mul__"] <= 200 + 2
+    # 3 walked rows, 1 in charpoly(M) and 9 in the binary power M^200
+    assert calls["__mul__"] == 3 + 1 + 9
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda f: growth_table(f, 2, 3, 10),
+        lambda f: compare_exact(f, [SimpleFactorSpec(3, 2)], 10).rows,
+    ],
+    ids=["growth_table", "compare_exact"],
+)
+def test_rank6_table_products(monkeypatch, table):
+    f = resolve_scenario("mult-by-2-g3").endomorphism
+    calls = count_calls(monkeypatch, "__mul__")
+    assert len(table(f)) == 10
+    # 9 walked rows and 3 inside charpoly(M); no charpoly of any M^l
+    assert calls["__mul__"] == 9 + 3
 
 
 def counted_dets(monkeypatch, perturb=None):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -13,7 +14,12 @@ from torusdyn import (
     pfaffian,
     smith_normal_form,
 )
-from torusdyn.linalg import NonSquareMatrixError, SkewSymmetryError
+from torusdyn.linalg import (
+    NonSquareMatrixError,
+    SkewSymmetryError,
+    power_sum_polynomial,
+    power_sums,
+)
 
 from oracles import (
     charpoly_faddeev,
@@ -295,6 +301,30 @@ class TestCharpoly:
         calls = count_products(monkeypatch)
         charpoly(m)
         assert calls["products"] <= 2 * math.isqrt(n - 1) + 2
+
+
+class TestPowerSums:
+    def test_traces_of_powers(self):
+        rng = random.Random(61)
+        for n in range(1, 9):
+            for _ in range(5):
+                m = random_matrix(rng, n)
+                sums = itertools.islice(power_sums(charpoly(m)), 3 * n)
+                assert list(sums) == [(m**j).trace() for j in range(1, 3 * n + 1)]
+
+    def test_inverts_power_sum_polynomial(self):
+        rng = random.Random(67)
+        for degree in range(9):
+            for _ in range(5):
+                p = IntegerPolynomial(
+                    tuple(rng.randint(-50, 50) for _ in range(degree)) + (1,)
+                )
+                assert power_sum_polynomial(list(itertools.islice(power_sums(p), degree))) == p
+
+    def test_refuses_a_polynomial_that_is_not_monic(self):
+        for coefficients in ((0,), (1, 2), (3, 0, -1)):
+            with pytest.raises(ValueError, match="monic"):
+                next(power_sums(IntegerPolynomial(coefficients)))
 
 
 class TestPfaffian:
