@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -64,11 +65,15 @@ def _require_multiplier(scenario: Scenario) -> int:
 DEFAULT_LMAX = 10  # rows of a growth or compare table without --lmax
 
 
-def _echo(command: str, scenario_name: str, opts: Options) -> str:
-    """The command line that reproduces this run's stdout."""
+def _echo(command: str, reference: str, opts: Options) -> str:
+    """The command line that reproduces this run's stdout.
+
+    reference is what followed --scenario: a builtin name or the path of
+    a scenario file.  The words are shell-quoted where they need it.
+    """
     reads = COMMANDS[command].reads
     words = [command, opts.target] if command == "verify" else [command]
-    words += ["--scenario", scenario_name]
+    words += ["--scenario", reference]
     if opts.lmax is not None and "lmax" in reads:
         words += ["--lmax", str(opts.lmax)]
     else:
@@ -77,7 +82,7 @@ def _echo(command: str, scenario_name: str, opts: Options) -> str:
         value = getattr(opts, flag)
         if flag in reads and value != getattr(Options, flag):
             words += [f"--{flag}", repr(value)]
-    return " ".join(words)
+    return shlex.join(words)
 
 
 def _strings(*cells) -> tuple[str, ...]:
@@ -317,8 +322,18 @@ FLAG_RANGES = {
 }
 
 
-def run_command(command: str, scenario: Scenario | None, opts: Options) -> Report:
-    """Dispatch a subcommand on a validated scenario."""
+def run_command(
+    command: str,
+    scenario: Scenario | None,
+    opts: Options,
+    reference: str | None = None,
+) -> Report:
+    """Dispatch a subcommand on a validated scenario.
+
+    reference is the --scenario argument the scenario was resolved from,
+    which the command echo repeats; without one the echo names the
+    scenario, which reproduces a builtin but not a scenario file.
+    """
     if command == "scenarios":
         rows = tuple(BUILTIN_DESCRIPTIONS.items())
         return Report("scenarios", "-", ("name", "description"), rows)
@@ -329,7 +344,8 @@ def run_command(command: str, scenario: Scenario | None, opts: Options) -> Repor
     if opts.lmax is None and "l" not in COMMANDS[command].reads:  # growth, compare
         opts = replace(opts, lmax=DEFAULT_LMAX)
     result = COMMANDS[command].run(scenario, opts)
-    return Report(_echo(command, scenario.name, opts), scenario.name, *result)
+    echo = _echo(command, reference or scenario.name, opts)
+    return Report(echo, scenario.name, *result)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -410,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = None
         if args.scenario is not None:
             scenario = resolve_scenario(args.scenario)
-        report = run_command(args.command, scenario, opts)
+        report = run_command(args.command, scenario, opts, args.scenario)
     except (DegenerateFixedLocusError, BudgetExceededError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

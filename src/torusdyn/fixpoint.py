@@ -13,6 +13,7 @@ the first 2^n rows and the last.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -27,6 +28,7 @@ from .lattice import (
     LatticeEndomorphism,
     SimpleFactorSpec,
     TorsionPoint,
+    collector_paused,
     power,
     restrict_to_sublattice,
     solve_mod_lattice,
@@ -185,7 +187,8 @@ def fixed_grid(
     The set is built as one list of numerators per coordinate: Smith axis
     i extends coordinate list r by the offsets (base + j step) V[r, i]
     mod N, j < d_i, so no tuple is made until the lists are zipped into
-    points at the end.
+    points at the end; that zip and its sort run with the cyclic
+    collector paused (lattice.collector_paused).
 
     The point count |det(M^l - I)| is known before any point is built:
     past the budget the call raises BudgetExceededError right after that
@@ -221,7 +224,8 @@ def fixed_grid(
         raise AssertionError(
             f"{len(columns[0])} grid points but |det(M^{l} - I)| = {count}"
         )
-    points = sorted(zip(*columns))
+    with collector_paused():
+        points = sorted(zip(*columns))
     return common, points
 
 
@@ -413,6 +417,7 @@ def eigenvalue_magnitude_check(
     )
 
 
+@functools.lru_cache(maxsize=16)
 def periodic_subvariety_map(
     f: LatticeEndomorphism,
     basis: IntegerMatrix,
@@ -426,6 +431,11 @@ def periodic_subvariety_map(
     sublattice spanned by the basis, in basis coordinates.  Its fixed
     points at iterate l are those of f^{period*l} on Q + B, and a table
     over l takes the rows of M' from iterate_determinants.
+
+    Every argument is frozen, so the last 16 restrictions are cached and
+    a count per l (periodic_subvariety_count) builds power(f, period) and
+    its Smith form once.  A refusal is not cached: it raises again on
+    every call.
     """
     if period < 1:
         raise ValueError("period must be >= 1")

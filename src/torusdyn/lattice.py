@@ -11,12 +11,14 @@ unimodular.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     IntegerMatrix,
@@ -111,6 +113,27 @@ class ComplexTorus:
 _NOT_CANONICAL = "coordinates must be canonical representatives in [0,1)"
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk build of acyclic objects.
+
+    Tuples of ints and slotted points can never form a reference cycle,
+    yet every one of them is tracked, so building tens of thousands of
+    them triggers young and full collections that rescan the growing
+    list for nothing.  Reference counting still frees them.  On every
+    exit, by return or by exception, the collector is left enabled or
+    disabled as it was found, so nested pauses compose.  The switch is
+    process-wide: a thread allocating meanwhile is not collected either.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def grid_residues(
     denominator: int, numerators: Iterable[Sequence[int]]
 ) -> dict[int, Fraction]:
@@ -128,9 +151,12 @@ def grid_residues(
     return residues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionPoint:
-    """Point of finite order: rational coordinates, each in [0,1)."""
+    """Point of finite order: rational coordinates, each in [0,1).
+
+    Slotted: a point holds its coordinate tuple and no __dict__.
+    """
 
     coordinates: tuple[Fraction, ...]
 
@@ -156,15 +182,17 @@ class TorsionPoint:
         grid_residues checks each distinct numerator once and makes one
         Fraction for it, shared by every point that has it; the points
         are then built without re-validating each coordinate, since every
-        coordinate is one of those checked residues.
+        coordinate is one of those checked residues.  The point loop runs
+        with the cyclic collector paused (collector_paused).
         """
         lookup = grid_residues(denominator, numerators).__getitem__
         new, assign = object.__new__, object.__setattr__
         points = []
-        for a in numerators:
-            point = new(cls)
-            assign(point, "coordinates", tuple(map(lookup, a)))
-            points.append(point)
+        with collector_paused():
+            for a in numerators:
+                point = new(cls)
+                assign(point, "coordinates", tuple(map(lookup, a)))
+                points.append(point)
         return points
 
     def __len__(self) -> int:

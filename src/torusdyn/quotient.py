@@ -19,7 +19,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fixpoint import count_fixed, iterate_determinants, nondegenerate_count
-from .lattice import LatticeEndomorphism, TorsionPoint, compose, solve_mod_lattice
+from .lattice import (
+    LatticeEndomorphism,
+    TorsionPoint,
+    collector_paused,
+    compose,
+    solve_mod_lattice,
+)
 from .linalg import IntegerMatrix, det
 
 
@@ -155,41 +161,45 @@ def _grid_classes(
     are taken from the last distinct point to the first (a repeated point
     stands at its first position, under the index of its last copy).  A
     seed's class holds the seed and those of its images that are still
-    unclaimed members of the set.
+    unclaimed members of the set.  The walk builds only acyclic tuples,
+    lists and iterators (one per point to transpose the points into
+    columns), so it runs with the cyclic collector paused
+    (lattice.collector_paused).
     """
-    # distinct point -> index of its last copy, in order of first appearance
-    index_of = dict(zip(points, range(len(points))))
-    owners = list(index_of.values())
-    position = dict(zip(index_of, range(len(owners))))
-    columns = list(zip(*index_of))
-    identity = LatticeEndomorphism.identity(action.rank // 2)
-    images = []
-    for g in action.elements:
-        shift = [c * common for c in g.translation]
-        # the identity maps each seed to itself, which is already claimed
-        if g == identity or any(c.denominator != 1 for c in shift):
-            continue
-        image_columns = []
-        for row, s in zip(g.matrix.to_lists(), shift):
-            acc = [int(s)] * len(owners)
-            for u, column in zip(row, columns):
-                if u:
-                    acc = [x + u * a for x, a in zip(acc, column)]
-            image_columns.append([x % common for x in acc])
-        images.append(list(map(position.get, zip(*image_columns))))
-    claimed = [False] * len(owners)
-    classes: list[list[int]] = []
-    for seed in reversed(range(len(owners))):
-        if claimed[seed]:
-            continue
-        claimed[seed] = True
-        cls = [owners[seed]]
-        for image in images:
-            found = image[seed]
-            if found is not None and not claimed[found]:
-                claimed[found] = True
-                cls.append(owners[found])
-        classes.append(cls)
+    with collector_paused():
+        # distinct point -> index of its last copy, in order of first appearance
+        index_of = dict(zip(points, range(len(points))))
+        owners = list(index_of.values())
+        position = dict(zip(index_of, range(len(owners))))
+        columns = list(zip(*index_of))
+        identity = LatticeEndomorphism.identity(action.rank // 2)
+        images = []
+        for g in action.elements:
+            shift = [c * common for c in g.translation]
+            # the identity maps each seed to itself, which is already claimed
+            if g == identity or any(c.denominator != 1 for c in shift):
+                continue
+            image_columns = []
+            for row, s in zip(g.matrix.to_lists(), shift):
+                acc = [int(s)] * len(owners)
+                for u, column in zip(row, columns):
+                    if u:
+                        acc = [x + u * a for x, a in zip(acc, column)]
+                image_columns.append([x % common for x in acc])
+            images.append(list(map(position.get, zip(*image_columns))))
+        claimed = [False] * len(owners)
+        classes: list[list[int]] = []
+        for seed in reversed(range(len(owners))):
+            if claimed[seed]:
+                continue
+            claimed[seed] = True
+            cls = [owners[seed]]
+            for image in images:
+                found = image[seed]
+                if found is not None and not claimed[found]:
+                    claimed[found] = True
+                    cls.append(owners[found])
+            classes.append(cls)
     return classes
 
 

@@ -1,6 +1,21 @@
+import gc
 import sys
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled.
+
+    The bulk point builds pause it (lattice.collector_paused) and must
+    restore it on every exit, so a leaked pause shows up here.  The
+    collector is re-enabled before failing, so one leak fails one test.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

@@ -447,6 +447,21 @@ class TestIterateFlags:
         echo = out.splitlines()[0].removeprefix("# command: ")
         assert run_cli(capsys, *shlex.split(echo))[:2] == (0, out), echo
 
+    def test_echo_reproduces_a_file_scenario_run(self, tmp_path, capsys):
+        # the file's name field differs from its file name, and its
+        # directory name needs shell quoting
+        directory = tmp_path / "two words"
+        directory.mkdir()
+        path = directory / "gauss-file.json"
+        scenario = dataclasses.replace(resolve_scenario("gaussian-cm"), name="gauss-field")
+        save_scenario_file(scenario, path)
+        code, out, err = run_cli(capsys, "count", "--scenario", str(path), "--l", "2")
+        assert code == 0, err
+        echo = out.splitlines()[0].removeprefix("# command: ")
+        assert shlex.split(echo) == ["count", "--scenario", str(path), "--l", "2"]
+        assert "# scenario: gauss-field" in out
+        assert run_cli(capsys, *shlex.split(echo)) == (0, out, "")
+
     @pytest.mark.parametrize(
         "argv",
         (

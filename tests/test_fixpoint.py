@@ -343,12 +343,36 @@ class TestPeriodicSubvariety:
         )
         assert count == 1
 
+    def test_restriction_is_built_once_for_a_table_of_counts(self, monkeypatch):
+        scenario = diagonal_subvariety_scenario()
+        sub = scenario.subvariety
+        calls = []
+        restrict = fixpoint.restrict_to_sublattice
+
+        def counted(*args):
+            calls.append(args)
+            return restrict(*args)
+
+        fixpoint.periodic_subvariety_map.cache_clear()
+        monkeypatch.setattr(fixpoint, "restrict_to_sublattice", counted)
+        counts = [
+            periodic_subvariety_count(
+                scenario.endomorphism, sub.basis, sub.translate, sub.period, l
+            )
+            for l in range(1, 21)
+        ]
+        fixpoint.periodic_subvariety_map.cache_clear()
+        assert counts == [(2**l - 1) ** 2 for l in range(1, 21)]
+        assert len(calls) == 1
+
     def test_nonperiodic_translate_rejected(self):
         f = mult(2, 2)
         basis = IntegerMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
         bad = TorsionPoint.reduce([Fraction(1, 5), 0, Fraction(1, 5), 0])
-        with pytest.raises(ValueError, match="periodic"):
-            periodic_subvariety_count(f, basis, bad, 1, 1)
+        # a refusal is not cached: it raises again on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="periodic"):
+                periodic_subvariety_count(f, basis, bad, 1, 1)
 
     def test_periodic_translate_accepted(self):
         # on the diagonal, 1/3-torsion is fixed by [4] = [2]^2 up to lattice

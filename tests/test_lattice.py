@@ -1,6 +1,9 @@
+import gc
 import json
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,8 @@ from torusdyn import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from torusdyn import fixpoint, quotient
+from torusdyn.lattice import collector_paused
 from torusdyn.scenarios import _cm_torus
 
 from oracles import random_matrix, random_nonsingular, random_unimodular
@@ -147,6 +152,32 @@ class TestEndomorphismBasics:
             assert all(type(c) is Fraction for p in got for c in p.coordinates)
         assert TorsionPoint.from_grid(5, []) == []
 
+    def test_torsion_point_is_slotted_and_frozen(self):
+        checked = TorsionPoint((HALF, Fraction(2, 3)))
+        (built,) = TorsionPoint.from_grid(6, [(3, 4)])
+        for p in (checked, built):
+            assert not hasattr(p, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                p.coordinates = (Fraction(0), Fraction(0))
+        assert TorsionPoint.__slots__ == ("coordinates",)
+
+    def test_torsion_point_survives_pickle(self):
+        points = [TorsionPoint((HALF, Fraction(2, 3)))] + TorsionPoint.from_grid(
+            6, [(3, 4), (0, 5)]
+        )
+        copies = pickle.loads(pickle.dumps(points))
+        assert copies == points
+        assert [hash(p) for p in copies] == [hash(p) for p in points]
+        assert all(type(c) is Fraction for p in copies for c in p.coordinates)
+
+    def test_grid_point_equals_and_hashes_like_checked_point(self):
+        for n, a in ((15, (0, 3, 14, 7)), (2, (1, 0)), (1, (0, 0, 0, 0))):
+            (built,) = TorsionPoint.from_grid(n, [a])
+            checked = TorsionPoint(tuple(Fraction(v, n) for v in a))
+            assert built == checked
+            assert hash(built) == hash(checked)
+            assert {built: 1}[checked] == 1
+
     def test_enumerated_points_share_one_fraction_per_residue(self):
         # [2]^4 - I = 15 I on E x E: 15^4 points over N = 15
         f = resolve_scenario("diagonal-subvariety").endomorphism
@@ -173,6 +204,92 @@ class TestEndomorphismBasics:
     def test_value_at(self):
         f = endo([[2, 0], [0, 2]], (HALF, Fraction(0)))
         assert f.value_at((Fraction(1, 4), Fraction(1, 2))) == (Fraction(0), Fraction(0))
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_restores_the_state_it_found(self, enabled):
+        try:
+            _set_collector(enabled)
+            with collector_paused():
+                assert not gc.isenabled()
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_restores_the_state_when_the_body_raises(self, enabled):
+        try:
+            _set_collector(enabled)
+            with pytest.raises(ZeroDivisionError):
+                with collector_paused():
+                    1 // 0
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_public_calls_keep_the_collector_state(self, enabled):
+        diagonal = resolve_scenario("diagonal-subvariety").endomorphism
+        bielliptic = resolve_scenario("bielliptic-quotient")
+        calls = [
+            lambda: enumerate_fixed(diagonal, 2),
+            lambda: fixpoint.fixed_grid(diagonal, 2),
+            lambda: TorsionPoint.from_grid(3, [(0, 1), (2, 2)]),
+            lambda: quotient.orbit_partition(
+                enumerate_fixed(bielliptic.endomorphism, 1), bielliptic.action
+            ),
+        ]
+        try:
+            for call in calls:
+                _set_collector(enabled)
+                call()
+                assert gc.isenabled() is enabled
+            _set_collector(enabled)
+            with pytest.raises(ValueError):
+                TorsionPoint.from_grid(3, [(0, 3)])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("build", ("from_grid", "fixed_grid", "grid_classes"))
+    def test_bulk_builds_run_no_collection_while_paused(self, build):
+        # unpaused, these builds set off 144, 72 and 7 collections; paused,
+        # only the one young collection after the pause is left
+        diagonal = resolve_scenario("diagonal-subvariety").endomorphism
+        bielliptic = resolve_scenario("bielliptic-quotient")
+        grid = fixpoint.fixed_grid(diagonal, 4)
+        bielliptic_grid = fixpoint.fixed_grid(bielliptic.endomorphism, 2)
+        call = {
+            "from_grid": lambda: TorsionPoint.from_grid(*grid),
+            "fixed_grid": lambda: fixpoint.fixed_grid(diagonal, 4),
+            "grid_classes": lambda: quotient._grid_classes(
+                *bielliptic_grid, bielliptic.action
+            ),
+        }[build]
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*threshold)
+        assert len(collections) <= 1, collections
 
 
 class TestCompose:
