@@ -270,7 +270,8 @@ def _run_verify(scenario: Scenario, opts: Options):
             continue
         try:
             rows += [(name + suffix, *rest) for suffix, *rest in check(scenario, opts)]
-        except ValueError as exc:  # ScenarioError and degenerate iterates too
+        except (ValueError, RootFindingError) as exc:
+            # ScenarioError and degenerate iterates are ValueErrors too
             if opts.target != "all":
                 raise
             warnings.append(f"{name}: skipped ({exc})")
@@ -405,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # the echo repeats it on the one '# command:' line
+        if args.scenario and "".join(args.scenario.splitlines()) != args.scenario:
+            raise ScenarioError("--scenario must not contain a line break")
         given = {
             flag: getattr(args, flag)
             for flag in (*FLAG_RANGES, "scenario")

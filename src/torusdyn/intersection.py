@@ -18,14 +18,6 @@ EXPANSION_CAP = 16
 
 
 @dataclass(frozen=True)
-class MultidegreeMonomial:
-    """Coefficient times a product of divisor powers, one exponent per factor."""
-
-    exponents: tuple[int, ...]
-    coefficient: int
-
-
-@dataclass(frozen=True)
 class ExpansionComparison:
     r: int
     n: int
@@ -44,7 +36,12 @@ class PullbackCheck:
     passed: bool
 
 
-def _expand(r: int, n: int) -> dict[tuple[int, ...], int]:
+def expand_sum_power(r: int, n: int) -> int:
+    """Coefficient of D_1^n ... D_r^n in (F_1 + ... + F_r)^{rn}.
+
+    Expands the power one factor at a time over exponent vectors, dropping
+    any monomial with an exponent above n (the truncation rule).
+    """
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     if r * n > EXPANSION_CAP:
@@ -59,24 +56,7 @@ def _expand(r: int, n: int) -> dict[tuple[int, ...], int]:
                 bumped = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1 :]
                 next_terms[bumped] = next_terms.get(bumped, 0) + coeff
         terms = next_terms
-    return terms
-
-
-def expand_sum_power(r: int, n: int) -> int:
-    """Coefficient of D_1^n ... D_r^n in (F_1 + ... + F_r)^{rn}.
-
-    Expands the power one factor at a time over exponent vectors, dropping
-    any monomial with an exponent above n (the truncation rule).
-    """
-    return _expand(r, n).get((n,) * r, 0)
-
-
-def expansion_monomials(r: int, n: int) -> list[MultidegreeMonomial]:
-    """Surviving monomials of (F_1 + ... + F_r)^{rn} after truncation."""
-    return [
-        MultidegreeMonomial(exponents, coeff)
-        for exponents, coeff in sorted(_expand(r, n).items())
-    ]
+    return terms.get((n,) * r, 0)
 
 
 def compare_expansion_readings(r: int, n: int) -> ExpansionComparison:

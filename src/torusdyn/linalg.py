@@ -180,11 +180,6 @@ class IntegerMatrix:
             return IntegerMatrix(self.rows, self.cols, tuple(a * other for a in self.entries))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> "IntegerMatrix":
         if not self.is_square:
             raise NonSquareMatrixError("power needs a square matrix")
@@ -205,9 +200,6 @@ class IntegerMatrix:
             self[i, j] == -self[j, i] for i in range(self.rows) for j in range(self.cols)
         )
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 @dataclass(frozen=True)
 class IntegerPolynomial:
@@ -224,36 +216,12 @@ class IntegerPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        if self.coefficients == (0,):
-            return -1
-        return len(self.coefficients) - 1
-
     def __call__(self, x):
         # Horner; works for int, Fraction, float, complex argument types.
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def __str__(self) -> str:
-        if self.degree < 0:
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c:+d}")
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                sign = "+" if c > 0 else "-"
-                var = "x" if k == 1 else f"x^{k}"
-                terms.append(f"{sign}{mag}{var}")
-        s = "".join(terms)
-        return s[1:] if s.startswith("+") else s
 
 
 @dataclass(frozen=True)

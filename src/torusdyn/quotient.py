@@ -14,6 +14,7 @@ points downstairs, is |det(M^l - I)| / |H_l| and no point is enumerated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +23,6 @@ from .fixpoint import count_fixed, iterate_determinants, nondegenerate_count
 from .lattice import (
     LatticeEndomorphism,
     TorsionPoint,
-    collector_paused,
     compose,
     solve_mod_lattice,
 )
@@ -154,52 +154,34 @@ def _grid_classes(
     N = common, to (U a + N s) / N; when N s is not integral that image
     lies off the (1/N)-grid, so outside the set, and the element relates
     no two points.  Otherwise it acts on numerators as
-    a -> (U a + N s) mod N, in integers only.  The distinct points are
-    held as one numerator list per coordinate, and each element's images
-    of all of them are computed in one pass over those lists before any
-    class is formed; the class walk then only looks positions up.  Seeds
-    are taken from the last distinct point to the first (a repeated point
-    stands at its first position, under the index of its last copy).  A
-    seed's class holds the seed and those of its images that are still
-    unclaimed members of the set.  The walk builds only acyclic tuples,
-    lists and iterators (one per point to transpose the points into
-    columns), so it runs with the cyclic collector paused
-    (lattice.collector_paused).
+    a -> (U a + N s) mod N, in integers only.  One dict maps each
+    distinct point to the index of its last copy, in order of first
+    appearance; seeds are popped from its end, and a seed's class holds
+    the seed and those of its images still in the dict, popped in the
+    order of the group elements.
     """
-    with collector_paused():
-        # distinct point -> index of its last copy, in order of first appearance
-        index_of = dict(zip(points, range(len(points))))
-        owners = list(index_of.values())
-        position = dict(zip(index_of, range(len(owners))))
-        columns = list(zip(*index_of))
-        identity = LatticeEndomorphism.identity(action.rank // 2)
-        images = []
-        for g in action.elements:
-            shift = [c * common for c in g.translation]
-            # the identity maps each seed to itself, which is already claimed
-            if g == identity or any(c.denominator != 1 for c in shift):
-                continue
-            image_columns = []
-            for row, s in zip(g.matrix.to_lists(), shift):
-                acc = [int(s)] * len(owners)
-                for u, column in zip(row, columns):
-                    if u:
-                        acc = [x + u * a for x, a in zip(acc, column)]
-                image_columns.append([x % common for x in acc])
-            images.append(list(map(position.get, zip(*image_columns))))
-        claimed = [False] * len(owners)
-        classes: list[list[int]] = []
-        for seed in reversed(range(len(owners))):
-            if claimed[seed]:
-                continue
-            claimed[seed] = True
-            cls = [owners[seed]]
-            for image in images:
-                found = image[seed]
-                if found is not None and not claimed[found]:
-                    claimed[found] = True
-                    cls.append(owners[found])
-            classes.append(cls)
+    # distinct point -> index of its last copy, in order of first appearance
+    remaining = dict(zip(points, range(len(points))))
+    identity = LatticeEndomorphism.identity(action.rank // 2)
+    moves = []
+    for g in action.elements:
+        shift = [c * common for c in g.translation]
+        # the identity maps each seed to itself, which is already popped
+        if g != identity and all(c.denominator == 1 for c in shift):
+            moves.append((g.matrix.to_lists(), [int(c) for c in shift]))
+    classes: list[list[int]] = []
+    while remaining:
+        seed, index = remaining.popitem()
+        cls = [index]
+        for rows, shift in moves:
+            image = tuple(
+                (sum(map(operator.mul, row, seed)) + s) % common
+                for row, s in zip(rows, shift)
+            )
+            found = remaining.pop(image, None)
+            if found is not None:
+                cls.append(found)
+        classes.append(cls)
     return classes
 
 

@@ -158,6 +158,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: expected a nonempty string")
+    # the table header prints it on the one '# scenario:' line
+    if name.splitlines() != [name]:
+        raise ScenarioError("name: must not contain a line break")
 
     torus_data = data.get("torus")
     if not isinstance(torus_data, dict):
@@ -313,7 +316,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads raises RecursionError on deeply nested arrays or objects
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

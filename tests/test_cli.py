@@ -300,6 +300,29 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: scenario 'unpolarizable-1x4' is not polarized (no multiplier q > 1)\n"
 
+    def test_verify_all_skips_serre_when_root_isolation_fails(self, tmp_path, capsys):
+        # q = 10^400 + 9 and the charpoly coefficients overflow a float
+        big, i = str(10**200), [["0", "-1"], ["1", "0"]]
+        path = tmp_path / "huge-cm.json"
+        path.write_text(json.dumps({
+            "name": "huge-cm",
+            "torus": {"g": "1", "J": i, "S": i},
+            "endomorphism": {"M": [[big, "-3"], ["3", big]], "analytic": True},
+        }))
+        code, out, err = run_cli(
+            capsys, "verify", "--all", "--scenario", str(path), "--format", "csv"
+        )
+        assert code == 0, err
+        checks = [row[0] for row in parse_csv(out)[1]]
+        assert checks == [
+            "polarization", "lefschetz", "pfaffian",
+            "proddiv r=2 n=1", "proddiv r=3 n=1", "proddiv r=2 n=2", "dual-isogeny",
+        ]
+        assert err.startswith("warning: serre: skipped (root isolation failed: ")
+        code, out, err = run_cli(capsys, "verify", "serre", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: root isolation failed: ")
+
 
 class TestExitCodes:
     def test_degenerate_is_2(self, capsys):
@@ -332,6 +355,30 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "count", "--scenario", str(path))
         assert code == 1
         assert "torus.g" in err
+
+    def test_deeply_nested_json_is_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "count", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scenario file is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_line_break_in_scenario_name_is_1(self, tmp_path, capsys):
+        path = tmp_path / "split.json"
+        scenario = dataclasses.replace(resolve_scenario("gaussian-cm"), name="a\nb")
+        save_scenario_file(scenario, path)
+        code, out, err = run_cli(capsys, "count", "--scenario", str(path))
+        assert (code, out, err) == (1, "", "error: name: must not contain a line break\n")
+
+    def test_line_break_in_scenario_path_is_1(self, tmp_path, capsys):
+        # a valid file, but the '# command:' echo would split over two lines
+        directory = tmp_path / "two\nlines"
+        directory.mkdir()
+        path = directory / "gauss.json"
+        save_scenario_file(resolve_scenario("gaussian-cm"), path)
+        code, out, err = run_cli(capsys, "count", "--scenario", str(path))
+        assert (code, out, err) == (1, "", "error: --scenario must not contain a line break\n")
 
     def test_missing_scenario_flag_is_1(self, capsys):
         code, _, err = run_cli(capsys, "count")

@@ -10,7 +10,6 @@ from torusdyn import (
     pullback_degree_check,
     standard_symplectic_form,
 )
-from torusdyn.intersection import expansion_monomials
 from torusdyn.linalg import SkewSymmetryError
 
 from oracles import random_matrix
@@ -46,12 +45,6 @@ class TestExpandSumPower:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             expand_sum_power(0, 1)
-
-    def test_monomials_truncated(self):
-        monomials = expansion_monomials(2, 2)
-        assert all(max(m.exponents) <= 2 for m in monomials)
-        top = [m for m in monomials if m.exponents == (2, 2)]
-        assert top and top[0].coefficient == 6
 
 
 class TestExpansionComparison:

@@ -259,20 +259,15 @@ class TestCollectorPaused:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("build", ("from_grid", "fixed_grid", "grid_classes"))
+    @pytest.mark.parametrize("build", ("from_grid", "fixed_grid"))
     def test_bulk_builds_run_no_collection_while_paused(self, build):
-        # unpaused, these builds set off 144, 72 and 7 collections; paused,
+        # unpaused, these builds set off 144 and 72 collections; paused,
         # only the one young collection after the pause is left
         diagonal = resolve_scenario("diagonal-subvariety").endomorphism
-        bielliptic = resolve_scenario("bielliptic-quotient")
         grid = fixpoint.fixed_grid(diagonal, 4)
-        bielliptic_grid = fixpoint.fixed_grid(bielliptic.endomorphism, 2)
         call = {
             "from_grid": lambda: TorsionPoint.from_grid(*grid),
             "fixed_grid": lambda: fixpoint.fixed_grid(diagonal, 4),
-            "grid_classes": lambda: quotient._grid_classes(
-                *bielliptic_grid, bielliptic.action
-            ),
         }[build]
         collections = []
 

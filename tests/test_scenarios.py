@@ -113,6 +113,21 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="factors"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\n", "a\u2028b"])
+    def test_line_break_in_name_refused(self, name):
+        # the table header prints the name on one '# scenario:' line
+        data = minimal_dict()
+        data["name"] = name
+        with pytest.raises(ScenarioError, match="^name: must not contain a line break$"):
+            scenario_from_dict(data)
+
+    def test_deeply_nested_json_refused(self, tmp_path):
+        # json.loads gives up on this with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ScenarioError, match="^scenario file is not valid JSON: "):
+            load_scenario_file(path)
+
 
 class TestBuiltins:
     def test_mult_by_parametric(self):
