@@ -12,7 +12,10 @@ operations are that step run on the transposed block, with V held as
 V^T.  The Pfaffian uses fraction-free skew elimination.  Characteristic
 polynomials come from the power sums tr(m^k), formed by baby and giant
 steps from about 2 sqrt(n) matrix products, and Newton's identities,
-whose divisions are exact; power_sums runs them the other way.
+whose divisions are exact; power_sums runs them the other way.  From
+n = 12 on, a step whose left factor has entries of at most 64 bits packs
+each row of its right factor into one int (Kronecker substitution), so
+the product costs n^2 big-integer operations instead of n^3 small ones.
 """
 
 from __future__ import annotations
@@ -391,6 +394,54 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     )
 
 
+# charpoly packs a product from this size on, when the left factor's
+# entries have at most this many bits
+_PACK_MIN_N = 12
+_PACK_MAX_BITS = 64
+
+
+def _packed_product(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """a * b by Kronecker substitution: each row of b packed into one int.
+
+    Row j of b becomes sum_c b[j, c] 2^(8wc), slots of w bytes with
+    8w - 1 > bit_length(n max|a| max|b|), which bounds every entry of the
+    product and of b.  Row i of a * b is then sum_j a[i, j] packed_j, n
+    big-integer multiply-adds where * makes n^2 small ones.  Adding
+    2^(8w-1) to every slot puts each in [0, 2^(8w)) whatever its sign, so
+    to_bytes cuts the row back into its exact entries.
+    """
+    n, cols = b.rows, b.cols
+    # a zero a still needs slots wide enough to pack b
+    bound = n * (max(map(abs, a.entries)) or 1) * max(map(abs, b.entries))
+    w = (bound.bit_length() + 1) // 8 + 1
+    half = 1 << (8 * w - 1)
+    size = w * cols
+    offsets = int.from_bytes(half.to_bytes(w, "little") * cols, "little")
+    blob = b"".join([(x + half).to_bytes(w, "little") for x in b.entries])
+    packed = [
+        int.from_bytes(blob[k : k + size], "little") - offsets
+        for k in range(0, len(blob), size)
+    ]
+    blob = b"".join(
+        [
+            (sum(map(operator.mul, a.row(i), packed)) + offsets).to_bytes(size, "little")
+            for i in range(a.rows)
+        ]
+    )
+    return IntegerMatrix(
+        a.rows,
+        cols,
+        tuple([int.from_bytes(blob[k : k + w], "little") - half for k in range(0, len(blob), w)]),
+    )
+
+
+def _power_product(left: IntegerMatrix):
+    """The product charpoly forms left * X with, for powers X of left."""
+    if left.rows >= _PACK_MIN_N and max(map(abs, left.entries)).bit_length() <= _PACK_MAX_BITS:
+        return _packed_product
+    return operator.mul
+
+
 def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     """Characteristic polynomial det(xI - m), monic, computed over Z.
 
@@ -401,15 +452,31 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     matrix products are formed instead of n.  Newton's identities
     (power_sum_polynomial) then yield the coefficients; every division is
     exact, so no rationals (let alone floats) appear.
+
+    Each baby step is m * m^i and each giant step G * G^j (powers of one
+    matrix commute), so the left factor is always the small base.  A step
+    goes through the Kronecker-packed _packed_product, n^2 big-integer
+    operations in place of n^3 Python-level multiply-adds, when it is
+    bound by interpreter overhead: n >= _PACK_MIN_N = 12 and the base's
+    entries at most _PACK_MAX_BITS = 64 bits.  Otherwise it is the plain *.
+    Measured on seeded inputs (2-vCPU, Python 3.11), packing every step
+    of a [-99, 99] charpoly takes 1.18x the time of * at n = 8, 1.04x at
+    n = 11, 0.93x at n = 12, 0.70x at n = 16 and 0.45x at n = 32.  Per
+    product, with right entries twice as long as the left ones, packing
+    takes 0.43-0.70x at n = 12 to 32 for 64-bit left entries, 0.78-1.07x
+    for 256-bit and 1.2-2x for 500-bit ones: the big-integer arithmetic,
+    not the interpreter, then sets the cost.
     """
     if not m.is_square:
         raise NonSquareMatrixError("characteristic polynomial needs a square matrix")
     n = m.rows
     s = math.isqrt(n - 1) + 1
+    baby_step = _power_product(m)
     powers = [m]
     while len(powers) < s:
-        powers.append(powers[-1] * m)
+        powers.append(baby_step(m, powers[-1]))
     giant = powers.pop()
+    giant_step = _power_product(giant)
     # tr(X Y) pairs X[a][b] with Y[b][a]: hold the baby steps transposed
     transposed = [tuple(x for j in range(n) for x in a.entries[j::n]) for a in powers]
     sums = [0] * (n + 1)
@@ -423,7 +490,7 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
         k += s
         if k > n:
             break
-        g = g * giant
+        g = giant_step(giant, g)
     return power_sum_polynomial(sums[1:])
 
 

@@ -319,6 +319,12 @@ def load_scenario_file(path: str | Path) -> Scenario:
     except (json.JSONDecodeError, RecursionError) as exc:
         # json.loads raises RecursionError on deeply nested arrays or objects
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the only other ValueError: a JSON number past the int <-> str digit cap
+        raise ScenarioError(
+            f"scenario file holds a JSON number of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's int <-> str limit; write large integers as strings"
+        ) from exc
     return scenario_from_dict(data)
 
 
@@ -465,6 +471,9 @@ def builtin_scenarios() -> list[Scenario]:
 
 def resolve_scenario(ref: str) -> Scenario:
     """Builtin name or path to a JSON scenario file."""
+    if not ref:
+        # Path("") is the current directory, which exists
+        raise ScenarioError("empty scenario reference")
     match = _MULT_PATTERN.match(ref)
     if match:
         m = int(match.group(1))

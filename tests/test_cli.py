@@ -380,6 +380,10 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "count", "--scenario", str(path))
         assert (code, out, err) == (1, "", "error: --scenario must not contain a line break\n")
 
+    def test_empty_scenario_reference_is_1(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--scenario", "")
+        assert (code, out, err) == (1, "", "error: empty scenario reference\n")
+
     def test_missing_scenario_flag_is_1(self, capsys):
         code, _, err = run_cli(capsys, "count")
         assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ from torusdyn import (
     pfaffian,
     smith_normal_form,
 )
+from torusdyn import linalg
 from torusdyn.linalg import (
     NonSquareMatrixError,
     SkewSymmetryError,
@@ -42,16 +44,27 @@ SUMDIFF = IntegerMatrix.from_rows(
 
 
 def count_products(monkeypatch) -> Counter:
-    """Count IntegerMatrix-by-IntegerMatrix products from now on."""
+    """Count IntegerMatrix-by-IntegerMatrix products from now on.
+
+    "products" counts both kinds: * and the Kronecker-packed products
+    charpoly forms, which "packed" counts alone.
+    """
     calls = Counter()
     original = IntegerMatrix.__mul__
+    original_packed = linalg._packed_product
 
     def counted(self, other):
         if isinstance(other, IntegerMatrix):
             calls["products"] += 1
         return original(self, other)
 
+    def counted_packed(a, b):
+        calls["products"] += 1
+        calls["packed"] += 1
+        return original_packed(a, b)
+
     monkeypatch.setattr(IntegerMatrix, "__mul__", counted)
+    monkeypatch.setattr(linalg, "_packed_product", counted_packed)
     return calls
 
 
@@ -301,6 +314,87 @@ class TestCharpoly:
         calls = count_products(monkeypatch)
         charpoly(m)
         assert calls["products"] <= 2 * math.isqrt(n - 1) + 2
+        assert calls["packed"] == (calls["products"] if n >= linalg._PACK_MIN_N else 0)
+
+    @pytest.mark.parametrize("n", (linalg._PACK_MIN_N - 1, linalg._PACK_MIN_N))
+    def test_packing_starts_at_pack_min_n(self, monkeypatch, n):
+        m = random_matrix(random.Random(n), n, -99, 99)
+        calls = count_products(monkeypatch)
+        coefficients = charpoly(m).coefficients
+        assert calls["packed"] == (calls["products"] if n == linalg._PACK_MIN_N else 0)
+        assert coefficients == charpoly_faddeev(m)
+
+    def test_big_entries_stay_on_plain_products(self, monkeypatch):
+        n = linalg._PACK_MIN_N
+        big = 2**500
+        m = random_matrix(random.Random(500), n, -big, big)
+        calls = count_products(monkeypatch)
+        coefficients = charpoly(m).coefficients
+        assert calls["products"] > 0 and calls["packed"] == 0
+        assert coefficients == charpoly_faddeev(m)
+
+    def test_baby_steps_pack_when_only_the_giant_is_big(self, monkeypatch):
+        # entries of 20 bits: m packs, G = m^4 has more than 64 bits
+        n = 16
+        m = random_matrix(random.Random(20), n, -(2**20), 2**20)
+        calls = count_products(monkeypatch)
+        coefficients = charpoly(m).coefficients
+        assert (calls["packed"], calls["products"]) == (3, 6)
+        assert coefficients == charpoly_faddeev(m)
+
+    @pytest.mark.parametrize("bits, packs", [(64, True), (65, False)])
+    def test_packing_bit_bound(self, bits, packs):
+        n = linalg._PACK_MIN_N
+        m = IntegerMatrix.scalar(n, -(2**bits - 1))
+        assert max(abs(x) for x in m.entries).bit_length() == bits
+        expected = linalg._packed_product if packs else operator.mul
+        assert linalg._power_product(m) is expected
+
+
+def packed_product_cases():
+    """Pairs (a, b) for _packed_product, labelled by kind."""
+    rng = random.Random(2026)
+    for n in (1, 2, 5, 12, 17):
+        for bits in (1, 7, 8, 63, 64, 300):
+            top = 2**bits
+            yield f"random n={n} {bits}-bit", (
+                random_matrix(rng, n, -top, top),
+                random_matrix(rng, n, -top, top),
+            )
+    a = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(7)] for _ in range(3)])
+    b = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(7)])
+    yield "rectangular 3x7 by 7x4", (a, b)
+    big = random_matrix(rng, 6, -(2**90), 2**90)
+    yield "zero left", (IntegerMatrix.zero(6, 6), big)
+    yield "zero right", (big, IntegerMatrix.zero(6, 6))
+    one = IntegerMatrix.from_rows(
+        [[-(2**70) if (i, j) == (2, 4) else 0 for j in range(6)] for i in range(6)]
+    )
+    yield "one nonzero left", (one, big)
+    yield "one nonzero right", (big, one)
+
+
+PACKED_PRODUCT_CASES = dict(packed_product_cases())
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("label", list(PACKED_PRODUCT_CASES))
+    def test_equals_plain_product(self, label):
+        a, b = PACKED_PRODUCT_CASES[label]
+        assert linalg._packed_product(a, b) == a * b
+
+    def test_slots_reach_their_bound(self):
+        # every entry of the product is n max|a| max|b| in size, of either
+        # sign; the bound's bit lengths take every residue mod 8
+        for bits in range(1, 18):
+            top = 2**bits - 1
+            for n in (3, 12):
+                plus = IntegerMatrix.from_rows([[top] * n] * n)
+                signs = IntegerMatrix.from_rows(
+                    [[top if (i + j) % 2 else -top for j in range(n)] for i in range(n)]
+                )
+                for a, b in ((plus, plus), (plus, -plus), (-plus, plus), (signs, plus)):
+                    assert linalg._packed_product(a, b) == a * b
 
 
 class TestPowerSums:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -128,6 +129,19 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="^scenario file is not valid JSON: "):
             load_scenario_file(path)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit cap"
+    )
+    def test_json_number_past_the_digit_cap_refused(self, default_int_digit_limit, tmp_path):
+        # a plain JSON number, not an integer string: json.loads itself converts it
+        path = tmp_path / "long.json"
+        text = json.dumps(minimal_dict()).replace('"2"', "1" + "0" * 4999, 1)
+        path.write_text(text)
+        refusal = "^scenario file holds a JSON number of more than 4300 digits"
+        with pytest.raises(ScenarioError, match=refusal):
+            load_scenario_file(path)
+        assert sys.get_int_max_str_digits() == 4300
+
 
 class TestBuiltins:
     def test_mult_by_parametric(self):
@@ -144,6 +158,11 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             resolve_scenario("no-such-thing")
+
+    def test_empty_reference_refused(self):
+        # Path("") names the current directory, which exists
+        with pytest.raises(ScenarioError, match="^empty scenario reference$"):
+            resolve_scenario("")
 
     def test_builtin_multipliers(self):
         expected = {
