@@ -49,11 +49,15 @@ class Options:
     target: str = "all"
 
 
+def _riemann_form(scenario: Scenario) -> IntegerMatrix:
+    S = scenario.torus.riemann_form
+    if S is None:
+        raise ScenarioError(f"scenario {scenario.name!r} carries no Riemann form")
+    return S
+
+
 def _require_multiplier(scenario: Scenario) -> int:
-    if scenario.torus.riemann_form is None:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} carries no Riemann form"
-        )
+    _riemann_form(scenario)
     q = polarization_multiplier(scenario.endomorphism, scenario.torus)
     if q is None or q < 2:
         raise ScenarioError(
@@ -78,9 +82,9 @@ def _echo(command: str, reference: str, opts: Options) -> str:
         words += ["--lmax", str(opts.lmax)]
     else:
         words += ["--l", str(opts.l)]
-    for flag in ("budget", "tolerance"):
+    for flag in FLAGS:
         value = getattr(opts, flag)
-        if flag in reads and value != getattr(Options, flag):
+        if flag not in ("l", "lmax") and flag in reads and value != getattr(Options, flag):
             words += [f"--{flag}", repr(value)]
     return shlex.join(words)
 
@@ -188,8 +192,7 @@ def _status(passed: bool) -> str:
 
 
 def _verify_polarization(scenario: Scenario, opts: Options):
-    if scenario.torus.riemann_form is None:
-        raise ScenarioError("no Riemann form")
+    _riemann_form(scenario)
     q = polarization_multiplier(scenario.endomorphism, scenario.torus)
     scale = "no multiplier (blocks scale unequally)" if q is None else f"q = {q}"
     return [("", "ok", f"degree = {degree(scenario.endomorphism)}; {scale}")]
@@ -219,9 +222,7 @@ def _verify_lefschetz(scenario: Scenario, opts: Options):
 
 
 def _verify_pfaffian(scenario: Scenario, opts: Options):
-    S = scenario.torus.riemann_form
-    if S is None:
-        raise ScenarioError("no Riemann form")
+    S = _riemann_form(scenario)
     check = intersection.pullback_degree_check(scenario.endomorphism.matrix, S)
     detail = f"Pf(M^T S M) = {check.lhs}; det(M) Pf(S) = {check.rhs}"
     return [("", _status(check.passed), detail)]
@@ -281,7 +282,7 @@ def _run_verify(scenario: Scenario, opts: Options):
 class Command(NamedTuple):
     help: str
     run: Callable | None
-    reads: tuple[str, ...]  # which of --scenario and the FLAG_RANGES flags it uses
+    reads: tuple[str, ...]  # which of --scenario and the FLAGS it uses
 
 
 COMMANDS = {
@@ -313,13 +314,25 @@ COMMANDS = {
     "scenarios": Command("list builtin scenarios", None, ()),
 }
 
-# The range a given value of each Options flag must lie in, in the order
-# main checks them.
-FLAG_RANGES = {
-    "l": (lambda v: v >= 1, ">= 1"),
-    "lmax": (lambda v: v >= 1, ">= 1"),
-    "tolerance": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    "budget": (lambda v: v >= 1, ">= 1"),
+
+class Flag(NamedTuple):
+    type: Callable
+    valid: Callable  # whether a given value is in range
+    rule: str  # that range, as the refusal states it
+    help: str
+
+
+# The Options fields set by flags, in the order main checks them
+FLAGS = {
+    "l": Flag(int, lambda v: v >= 1, ">= 1", "iterate"),
+    "lmax": Flag(int, lambda v: v >= 1, ">= 1", "table up to this iterate"),
+    "tolerance": Flag(
+        float,
+        lambda v: math.isfinite(v) and v >= 0,
+        "finite and >= 0",
+        "numeric tolerance for the serre check",
+    ),
+    "budget": Flag(int, lambda v: v >= 1, ">= 1", "max enumerated points"),
 }
 
 
@@ -356,44 +369,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="builtin name or path to a scenario JSON file")
-    common.add_argument("--l", type=int, default=None, help="iterate (default 1)")
-    common.add_argument("--lmax", type=int, default=None, help="table up to this iterate")
-    # budget and tolerance default to None so that main sees them given;
-    # Options holds the defaults the help text names
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="max enumerated points for enumerate (default 1000000)",
-    )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="numeric tolerance for the serre check (default 1e-9)",
-    )
-    common.add_argument(
-        "--format", choices=("table", "csv"), default="table", help="output format"
-    )
-    common.add_argument("--out", help="write output to this path instead of stdout")
-
     parser = _Parser(
         prog="torusdyn",
         description="Exact fixed-point counts, growth tables, and verification "
         "for endomorphisms of lattice tori.",
     )
+    # flag -> (type, help), the help naming the default Options holds
+    arguments = {"scenario": (str, "builtin name or path to a scenario JSON file")}
+    for flag, spec in FLAGS.items():
+        default = getattr(Options, flag)
+        suffix = "" if default is None else f" (default {default})"
+        arguments[flag] = (spec.type, spec.help + suffix)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=command.help)
+        p = sub.add_parser(name, help=command.help)
+        # every flag is accepted, so that main can refuse one the command
+        # does not read, but only those it reads are shown; none has a
+        # parser default, so that main sees which were given
+        for flag, (kind, text) in arguments.items():
+            shown = text if flag in command.reads else argparse.SUPPRESS
+            p.add_argument(f"--{flag}", type=kind, help=shown)
+        p.add_argument(
+            "--format", choices=("table", "csv"), default="table", help="output format"
+        )
+        p.add_argument("--out", help="write output to this path instead of stdout")
     verify = sub.choices["verify"]
     verify.add_argument(
         "target",
         nargs="?",
         choices=VERIFY_TARGETS,
-        default="all",
-        help="which check to run (default: all)",
+        default=Options.target,
+        help="which check to run (default: %(default)s)",
     )
     verify.add_argument(
         "--all", action="store_true", help="run every applicable check"
@@ -411,19 +417,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError("--scenario must not contain a line break")
         given = {
             flag: getattr(args, flag)
-            for flag in (*FLAG_RANGES, "scenario")
+            for flag in (*FLAGS, "scenario")
             if getattr(args, flag) is not None
         }
         for flag, value in given.items():
-            if flag in FLAG_RANGES and not FLAG_RANGES[flag][0](value):
-                raise ScenarioError(f"--{flag} must be {FLAG_RANGES[flag][1]}")
+            if flag in FLAGS and not FLAGS[flag].valid(value):
+                raise ScenarioError(f"--{flag} must be {FLAGS[flag].rule}")
             if flag not in COMMANDS[args.command].reads:
                 raise ScenarioError(f"{args.command} does not read --{flag}")
         # quotient and subvariety read either, and --lmax would hide --l
         if "l" in given and "lmax" in given:
             raise ScenarioError("--l and --lmax cannot be combined")
         given.pop("scenario", None)
-        opts = Options(**given, target=getattr(args, "target", "all"))
+        opts = Options(**given, target=getattr(args, "target", Options.target))
         # --all is a spelled-out synonym of the default target, never a second one
         if getattr(args, "all", False) and opts.target != "all":
             raise ScenarioError(f"--all cannot be combined with target {opts.target}")

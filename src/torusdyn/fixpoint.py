@@ -107,6 +107,12 @@ def nondegenerate_count(l: int, d: int) -> int:
     return abs(d)
 
 
+def check_multiplier(q: int) -> None:
+    """Refuse a multiplier q < 2, which no polarized map has."""
+    if q < 2:
+        raise ValueError("multiplier q must be > 1")
+
+
 def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     """Number of solutions of f^l(P) = P on the torus.
 
@@ -143,8 +149,11 @@ def iterate_determinants(
     l_max > 2^n one binary power M^l_max pins row l_max; the walk stops at
     row 2^n.  A mismatch raises AssertionError before that row is
     yielded.  A zero determinant (a degenerate iterate) is yielded like
-    any other; the caller decides whether it refuses or flags it.
+    any other; the caller decides whether it refuses or flags it.  An
+    l_max < 1 raises ValueError("l_max must be >= 1") at the first row.
     """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     n = f.rank
     orders = [math.comb(n, k) for k in range(n + 1)]
     seeded = min(l_max, orders[n // 2])
@@ -250,23 +259,24 @@ def brute_force_count(
 
     The kernel of K = M^l - I lies in (1/D)Z^n / Z^n for D the largest
     elementary divisor; with a translation of denominator r every solution
-    lies on the grid of side G = D r.  Only D is taken from the Smith
-    form, never its transforms, so the scan stays independent of the
-    congruence solving in fixed_grid.  A grid point a / G is fixed when
-    K a + G t = 0 mod G.  The residues of that sum over the first n - 1
-    coordinates are built one coordinate at a time, as one list of
-    residues per row of K, and each prefix zipped from those lists is
-    matched against a Counter of the residues -K[:, n-1] a_{n-1} of the
+    lies on the grid of side G = D r.  Only the divisors are taken from
+    the Smith form, never its transforms, so the scan stays independent
+    of fixed_grid; their product |det(K)| refuses a degenerate iterate as
+    count_fixed does, with no Bareiss determinant.  A grid point a / G is
+    fixed when K a + G t = 0 mod G.  The residues of that sum over the
+    first n - 1 coordinates are built one coordinate at a time, as one
+    list of residues per row of K, and each prefix zipped from those lists
+    is matched against a Counter of the residues -K[:, n-1] a_{n-1} of the
     last coordinate, so every one of the G^n grid points is accounted for.
     Refuses (never truncates) past the budget.
     """
     f_l = power(f, l)
     k = f_l.matrix - IntegerMatrix.identity(f.rank)
-    nondegenerate_count(l, det(k))  # refuses a degenerate iterate
+    divisors = smith_normal_form(k).elementary_divisors
+    nondegenerate_count(l, math.prod(divisors))
     t_l = f_l.translation
-    d_max = smith_normal_form(k).largest_divisor()
     r = math.lcm(*(c.denominator for c in t_l))
-    grid = d_max * r
+    grid = divisors[-1] * r
     n = f.rank
     if grid**n > budget:
         raise BudgetExceededError(
@@ -294,10 +304,7 @@ def growth_table(
     (det(M^l - I) = 0) raises DegenerateFixedLocusError, as count_fixed
     would at that l.
     """
-    if q < 2:
-        raise ValueError("multiplier q must be > 1")
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+    check_multiplier(q)
     rows = []
     for l, d in iterate_determinants(f, l_max):
         exact = nondegenerate_count(l, d)
@@ -328,8 +335,6 @@ def compare_exact(
     column is reported as-is; degenerate iterates are flagged inline
     instead of aborting the report.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
     label = "prod_i (q_i^l - 1)^(g_i * r_i)"
     rows = []
     for l, d in iterate_determinants(f, l_max):
@@ -393,8 +398,7 @@ def eigenvalue_magnitude_check(
     way.  The tolerance must be finite and >= 0: an infinite one would
     pass every map.
     """
-    if q < 2:
-        raise ValueError("multiplier q must be > 1")
+    check_multiplier(q)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and >= 0")
     p = charpoly(f.matrix)
@@ -461,6 +465,4 @@ def periodic_subvariety_count(
     The count is |det(M'^l - I)| for M' the restriction of M^period to
     the sublattice (periodic_subvariety_map).
     """
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
     return count_fixed(periodic_subvariety_map(f, basis, translate, period), l)

@@ -584,6 +584,4 @@ def exterior_trace_sum(m: IntegerMatrix) -> int:
     characteristic polynomial, so the sum collapses to det(I - m):
     evaluate charpoly at 1.
     """
-    if not m.is_square:
-        raise NonSquareMatrixError("exterior trace sum needs a square matrix")
-    return int(charpoly(m)(1))
+    return charpoly(m)(1)

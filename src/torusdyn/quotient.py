@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fixpoint import count_fixed, iterate_determinants, nondegenerate_count
+from .fixpoint import check_multiplier, count_fixed, iterate_determinants, nondegenerate_count
 from .lattice import (
     LatticeEndomorphism,
     TorsionPoint,
@@ -270,8 +270,9 @@ def quotient_fixed_lower_bound(
     whose length divides l.  |H_l| must divide the upstairs count, or
     AssertionError is raised.  lower_bound is |Fix(f^l)| / |G|, kept as
     an exact rational; the multiplier-based value (q^l - 1)^g / |G| is
-    reported for comparison but never asserted.
+    reported for comparison but never asserted, and q < 2 is refused first.
     """
+    check_multiplier(q)
     cycles = _cycle_lengths(_require_descent(f, action))
     return _orbit_bound(f, len(action), q, l, count_fixed(f, l), cycles)
 
@@ -281,9 +282,10 @@ def quotient_table(
 ) -> list[QuotientBound]:
     """quotient_fixed_lower_bound for l = 1..l_max, the action checked once.
 
-    Every row's det(M^l - I) comes from iterate_determinants; a degenerate
-    row is refused with count_fixed's message.
+    Every row's det(M^l - I) comes from iterate_determinants, which refuses
+    l_max < 1; a degenerate row is refused with count_fixed's message.
     """
+    check_multiplier(q)
     cycles = _cycle_lengths(_require_descent(f, action))
     return [
         _orbit_bound(f, len(action), q, l, nondegenerate_count(l, d), cycles)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from torusdyn import (
     exterior_trace_sum,
 )
 from torusdyn import fixpoint, quotient as quotient_mod
-from torusdyn.cli import COMMANDS, Options, main, run_command
+from torusdyn.cli import COMMANDS, FLAGS, VERIFY_TARGETS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
 
@@ -154,6 +155,26 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--scenario", "silverman-sumdiff")
         assert code == 1
         assert "factors" in err
+
+    def test_degenerate_row_is_flagged_not_refused(self, tmp_path, capsys):
+        # a quarter turn has M^4 = I, so its fourth iterate is degenerate
+        path = tmp_path / "quarter-turn.json"
+        path.write_text(json.dumps({
+            "name": "quarter-turn",
+            "torus": {"g": "1"},
+            "endomorphism": {"M": [["0", "-1"], ["1", "0"]]},
+            "factors": [{"g": "1", "q": "2"}],
+        }))
+        warning = "warning: l = 4: degenerate (det(M^l - I) = 0), count omitted"
+        argv = ("compare", "--lmax", "4", "--scenario", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.splitlines()[-1] == "4  degenerate   15"
+        assert warning in err.splitlines()
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert parse_csv(out)[1][-1] == ("4", "degenerate", "15", "")
+        assert warning in err.splitlines()
 
 
 class TestQuotient:
@@ -322,6 +343,80 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "serre", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: root isolation failed: ")
+
+
+class TestNoRiemannForm:
+    REFUSAL = "scenario 'no-form' carries no Riemann form"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "no-form.json"
+        path.write_text(json.dumps({
+            "name": "no-form",
+            "torus": {"g": "1"},
+            "endomorphism": {"M": [["2", "0"], ["0", "2"]]},
+        }))
+        return str(path)
+
+    def test_verify_all_skips_each_check_that_needs_it(self, capsys, path):
+        code, out, err = run_cli(capsys, "verify", "--all", "--scenario", path, "--format", "csv")
+        assert code == 0, err
+        assert [row[0] for row in parse_csv(out)[1]] == [
+            "lefschetz", "proddiv r=2 n=1", "proddiv r=3 n=1", "proddiv r=2 n=2", "dual-isogeny",
+        ]
+        assert err.splitlines() == [
+            f"warning: {check}: skipped ({self.REFUSAL})"
+            for check in ("polarization", "serre", "pfaffian")
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "pfaffian"), ("verify", "polarization"), ("growth",)]
+    )
+    def test_command_that_needs_it_is_1(self, capsys, path, argv):
+        code, out, err = run_cli(capsys, *argv, "--scenario", path)
+        assert (code, out, err) == (1, "", f"error: {self.REFUSAL}\n")
+
+
+def help_entries(text: str) -> dict[str, list[str]]:
+    """The first word of each argument entry of a --help text, by section."""
+    entries: dict[str, list[str]] = {"positional": [], "options": []}
+    section = None
+    for line in text.splitlines():
+        if line.endswith(":") and not line.startswith(" "):
+            # "optional arguments:" before Python 3.10's "options:"
+            section = "positional" if line.startswith("positional") else "options"
+        elif section and re.match(r"  \S", line):
+            entries[section].append(line.split()[0])
+    return entries
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        reads = COMMANDS[command].reads
+        options = ["-h,", *(f"--{flag}" for flag in reads), "--format", "--out"]
+        positional = []
+        if command == "verify":
+            options.append("--all")
+            positional.append("{" + ",".join(VERIFY_TARGETS) + "}")
+        entries = help_entries(out)
+        assert sorted(entries["options"]) == sorted(options)
+        assert entries["positional"] == positional
+        for flag in set(FLAGS) & set(reads):
+            default = getattr(Options, flag)
+            if default is not None:
+                assert f"(default {default})" in out
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert all(re.search(rf"^    {command} ", out, re.M) for command in COMMANDS)
 
 
 class TestExitCodes:

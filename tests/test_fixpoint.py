@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from torusdyn import (
     periodic_subvariety_count,
     power,
 )
+from torusdyn.linalg import NonSquareMatrixError
 from torusdyn.scenarios import (
     bielliptic_scenario,
     diagonal_subvariety_scenario,
@@ -185,6 +187,30 @@ class TestBruteForce:
         )
         assert brute_force_count(f, 1) == count_fixed(f, 1) == 1
 
+    @pytest.mark.parametrize("f, l", [(mult(-1), 2), (mult(1), 1), (mult(2), 2)])
+    def test_smith_divisors_decide_degeneracy_without_det(self, monkeypatch, f, l):
+        try:
+            expected = count_fixed(f, l)
+        except DegenerateFixedLocusError as refusal:
+            expected = refusal
+        calls = []
+        bareiss = fixpoint.det
+        monkeypatch.setattr(fixpoint, "det", lambda m: calls.append(m) or bareiss(m))
+        if isinstance(expected, DegenerateFixedLocusError):
+            with pytest.raises(DegenerateFixedLocusError, match=f"^{re.escape(str(expected))}$"):
+                brute_force_count(f, l)
+        else:
+            assert brute_force_count(f, l) == expected
+        assert calls == []
+
+
+class TestIterateDeterminants:
+    @pytest.mark.parametrize("l_max", [0, -3])
+    def test_l_max_below_one_refused(self, l_max):
+        rows = fixpoint.iterate_determinants(mult(2), l_max)
+        with pytest.raises(ValueError, match="^l_max must be >= 1$"):
+            next(rows)
+
 
 class TestGrowthTable:
     def test_mult_2_ratios(self):
@@ -279,6 +305,12 @@ class TestLefschetz:
     def test_zero_map(self):
         assert exterior_trace_sum(IntegerMatrix.zero(2, 2)) == 1
 
+    def test_non_square_refused_by_charpoly(self):
+        with pytest.raises(
+            NonSquareMatrixError, match="^characteristic polynomial needs a square matrix$"
+        ):
+            exterior_trace_sum(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
     def test_absolute_value_matches_count(self):
         rng = random.Random(21)
         for _ in range(20):
@@ -364,6 +396,14 @@ class TestPeriodicSubvariety:
         fixpoint.periodic_subvariety_map.cache_clear()
         assert counts == [(2**l - 1) ** 2 for l in range(1, 21)]
         assert len(calls) == 1
+
+    def test_iterate_below_one_refused_by_count_fixed(self):
+        scenario = diagonal_subvariety_scenario()
+        sub = scenario.subvariety
+        with pytest.raises(ValueError, match="^iterate must be >= 1$"):
+            periodic_subvariety_count(
+                scenario.endomorphism, sub.basis, sub.translate, sub.period, 0
+            )
 
     def test_nonperiodic_translate_rejected(self):
         f = mult(2, 2)

@@ -84,6 +84,10 @@ class TestPullbackDegreeCheck:
         with pytest.raises(SkewSymmetryError):
             pullback_degree_check(IntegerMatrix.identity(2), IntegerMatrix.identity(2))
 
+    def test_odd_dimensional_form_rejected_by_pfaffian(self):
+        with pytest.raises(SkewSymmetryError, match="even-dimensional"):
+            pullback_degree_check(IntegerMatrix.identity(3), IntegerMatrix.zero(3, 3))
+
     def test_degenerate_form_rejected(self):
         with pytest.raises(ValueError, match="nondegenerate"):
             pullback_degree_check(IntegerMatrix.identity(2), IntegerMatrix.zero(2, 2))

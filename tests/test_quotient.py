@@ -178,6 +178,15 @@ class TestQuotientBound:
         )
         assert (bound.upstairs_count, bound.orbit_count) == (456976, 228488)
 
+    @pytest.mark.parametrize("q", [1, 0, -5])
+    def test_multiplier_below_two_refused_before_the_action(self, q):
+        # mult-by-2 does not descend, so the action check would refuse too
+        for m in (3, 2):
+            with pytest.raises(ValueError, match="^multiplier q must be > 1$"):
+                quotient_fixed_lower_bound(
+                    LatticeEndomorphism.multiplication_by(m, 2), bielliptic_action(), q, 1
+                )
+
     def test_group_times_orbits_covers_fixed_set(self):
         f = LatticeEndomorphism.multiplication_by(3, 2)
         action = bielliptic_action()
@@ -204,6 +213,21 @@ class TestQuotientTable:
                 LatticeEndomorphism.multiplication_by(-1, 2), bielliptic_action(), 2, 3
             )
         assert grids == []
+
+    @pytest.mark.parametrize("q", [1, 0, -5])
+    def test_multiplier_below_two_refused_before_the_action(self, q):
+        for m in (3, 2):
+            with pytest.raises(ValueError, match="^multiplier q must be > 1$"):
+                quotient_table(
+                    LatticeEndomorphism.multiplication_by(m, 2), bielliptic_action(), q, 2
+                )
+
+    @pytest.mark.parametrize("l_max", [0, -3])
+    def test_l_max_below_one_refused(self, l_max):
+        with pytest.raises(ValueError, match="^l_max must be >= 1$"):
+            quotient_table(
+                LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, l_max
+            )
 
     def test_incompatible_lift_rejected(self):
         with pytest.raises(ValueError, match="descend"):
