@@ -1,5 +1,7 @@
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,23 @@ from torusdyn import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from torusdyn.cli import Options, run_command
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "scenarios.md"
+FAMILY = "mult-by-<m>[-g<G>]"  # the listing's row for the parametric builtins
+
+
+def documented_forms() -> dict[str, dict]:
+    """The json blocks of docs/scenarios.md, by the name each one holds."""
+    blocks = re.findall(r"^```json\n(.*?)^```$", DOCS.read_text(), re.M | re.S)
+    forms = {form["name"]: form for form in map(json.loads, blocks)}
+    assert len(forms) == len(blocks) == 6
+    return forms
+
+
+def listed_names() -> list[str]:
+    return [name for name, _ in run_command("scenarios", None, Options()).rows]
+
 
 
 def minimal_dict():
@@ -143,7 +162,55 @@ class TestSchemaValidation:
         assert sys.get_int_max_str_digits() == 4300
 
 
+class TestDocumentedBuiltins:
+    """docs/scenarios.md gives the exact serialized form of every builtin."""
+
+    @pytest.mark.parametrize("name", sorted(documented_forms()))
+    def test_block_is_the_serialized_builtin(self, name):
+        form = documented_forms()[name]
+        scenario = resolve_scenario(name)
+        assert form == scenario_to_dict(scenario)
+        assert scenario_from_dict(form) == scenario
+
+    def test_listed_names_resolve_to_their_name(self):
+        fixed = [name for name in listed_names() if name != FAMILY]
+        assert len(fixed) == len(listed_names()) - 1
+        for name in fixed:
+            assert resolve_scenario(name).name == name
+
+    def test_one_builtin_scenario_and_block_per_listed_row(self):
+        # mult-by-2 stands for the family
+        names = ["mult-by-2" if name == FAMILY else name for name in listed_names()]
+        assert [scenario.name for scenario in builtin_scenarios()] == names
+        assert sorted(documented_forms()) == sorted(names)
+
+
 class TestBuiltins:
+    @pytest.mark.parametrize(
+        "ref,name",
+        [
+            ("mult-by-2-g1", "mult-by-2"),
+            ("mult-by-02", "mult-by-2"),
+            ("mult-by-2-g01", "mult-by-2"),
+            ("mult-by-3-g2", "mult-by-3-g2"),
+        ],
+    )
+    def test_mult_by_names(self, ref, name):
+        assert resolve_scenario(ref) == resolve_scenario(name)
+        assert resolve_scenario(ref).name == name
+
+    @pytest.mark.parametrize(
+        "ref,refusal",
+        [
+            ("mult-by-1", "^mult-by-m needs m >= 2$"),
+            ("mult-by-0-g2", "^mult-by-m needs m >= 2$"),
+            ("mult-by-2-g0", "^mult-by-m needs g >= 1$"),
+        ],
+    )
+    def test_mult_by_refusals(self, ref, refusal):
+        with pytest.raises(ScenarioError, match=refusal):
+            resolve_scenario(ref)
+
     def test_mult_by_parametric(self):
         scenario = resolve_scenario("mult-by-3")
         assert scenario.torus.g == 1
