@@ -33,7 +33,8 @@ from .lattice import (
 from .linalg import IntegerMatrix, det, exterior_trace_sum
 from .report import Report, render_csv, render_table
 from .scenarios import (
-    BUILTIN_DESCRIPTIONS,
+    BUILTINS,
+    MULT_BY,
     Scenario,
     ScenarioError,
     lift_int_digit_limit,
@@ -284,6 +285,12 @@ class Command(NamedTuple):
     run: Callable | None
     reads: tuple[str, ...]  # which of --scenario and the FLAGS it uses
 
+    def default(self, flag: str):
+        """The value of a flag this command reads when it is not given."""
+        if flag == "lmax" and "l" not in self.reads:
+            return DEFAULT_LMAX  # growth and compare always tabulate
+        return getattr(Options, flag)
+
 
 COMMANDS = {
     "count": Command("count fixed points of f^l", _run_count, ("scenario", "l")),
@@ -349,14 +356,14 @@ def run_command(
     scenario, which reproduces a builtin but not a scenario file.
     """
     if command == "scenarios":
-        rows = tuple(BUILTIN_DESCRIPTIONS.items())
+        rows = (MULT_BY, *((name, text) for name, (text, _) in BUILTINS.items()))
         return Report("scenarios", "-", ("name", "description"), rows)
     if scenario is None:
         raise ScenarioError("this command needs --scenario")
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r}")
-    if opts.lmax is None and "l" not in COMMANDS[command].reads:  # growth, compare
-        opts = replace(opts, lmax=DEFAULT_LMAX)
+    if opts.lmax is None:
+        opts = replace(opts, lmax=COMMANDS[command].default("lmax"))
     result = COMMANDS[command].run(scenario, opts)
     echo = _echo(command, reference or scenario.name, opts)
     return Report(echo, scenario.name, *result)
@@ -374,15 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact fixed-point counts, growth tables, and verification "
         "for endomorphisms of lattice tori.",
     )
-    # flag -> (type, help), the help naming the default Options holds
-    arguments = {"scenario": (str, "builtin name or path to a scenario JSON file")}
-    for flag, spec in FLAGS.items():
-        default = getattr(Options, flag)
-        suffix = "" if default is None else f" (default {default})"
-        arguments[flag] = (spec.type, spec.help + suffix)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        # flag -> (type, help), the help naming the command's default
+        arguments = {"scenario": (str, "builtin name or path to a scenario JSON file")}
+        for flag, spec in FLAGS.items():
+            default = command.default(flag)
+            suffix = "" if default is None else f" (default {default})"
+            arguments[flag] = (spec.type, spec.help + suffix)
         # every flag is accepted, so that main can refuse one the command
         # does not read, but only those it reads are shown; none has a
         # parser default, so that main sees which were given

@@ -1,9 +1,10 @@
 """Scenario files: JSON descriptions of a torus, an endomorphism, and extras.
 
 Matrices are row-major arrays of integer strings and rationals are "p/q"
-strings, so arbitrarily large values survive the trip through JSON.  A
-small library of builtin scenarios ships with the package; every type
-invariant is re-validated on load with field-level error messages.
+strings, so arbitrarily large values survive the trip through JSON.  Every
+type invariant is re-validated on load with field-level error messages.
+The builtin scenarios that ship with the package are written as the
+fields of such files and built by the same loader.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _parse_rational_matrix(
         for i, row in enumerate(_parse_rows(value, where, rows, cols))
     ]
     d = math.lcm(*(x.denominator for row in table for x in row))
-    return IntegerMatrix.from_rows([[int(x * d) for x in row] for row in table]), d
+    numerators = [[x.numerator * (d // x.denominator) for x in row] for row in table]
+    return IntegerMatrix.from_rows(numerators), d
 
 
 def _parse_vector(value, where: str, length: int) -> tuple[Fraction, ...]:
@@ -335,154 +337,111 @@ def save_scenario_file(scenario: Scenario, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # builtin library
 
-def _cm_torus(g: int) -> ComplexTorus:
-    """Product of g square CM elliptic curves with the product Riemann form.
+def _cm_product(g: int) -> dict:
+    """Torus fields of g square CM elliptic curves with the product Riemann form.
 
     On each curve multiplication by i and the Riemann form are the same
     integer block [[0, -1], [1, 0]], so both are the standard symplectic
     form.
     """
-    blocks = standard_symplectic_form(g)
-    return ComplexTorus(g, complex_structure=blocks, riemann_form=blocks)
+    blocks = standard_symplectic_form(g).to_lists()
+    return {"g": g, "J": blocks, "S": blocks}
 
 
-def multiplication_scenario(m: int, g: int = 1) -> Scenario:
+def _diagonal(*values: int) -> list[list[int]]:
+    return IntegerMatrix.diagonal(values).to_lists()
+
+
+def _multiplication(m: int, g: int) -> dict:
+    """Fields of multiplication by m on g square CM curves."""
     if m < 2:
         raise ScenarioError("mult-by-m needs m >= 2")
     if g < 1:
         raise ScenarioError("mult-by-m needs g >= 1")
-    torus = _cm_torus(g)
-    endo = LatticeEndomorphism.multiplication_by(m, g)
-    name = f"mult-by-{m}" if g == 1 else f"mult-by-{m}-g{g}"
-    return Scenario(
-        name=name,
-        torus=torus,
-        endomorphism=endo,
-        analytic=True,
-        factors=(SimpleFactorSpec(g=1, q=m * m, multiplicity=g),),
-    )
+    return {
+        "torus": _cm_product(g),
+        "endomorphism": {"M": _diagonal(*[m] * (2 * g)), "analytic": True},
+        "factors": [{"g": 1, "q": m * m, "r": g}],
+    }
 
 
-def gaussian_cm_scenario() -> Scenario:
-    """Multiplication by 1+i on the square CM curve; degree 2, multiplier 2."""
-    torus = _cm_torus(1)
-    endo = LatticeEndomorphism(IntegerMatrix.from_rows([[1, -1], [1, 1]]))
-    return Scenario(
-        name="gaussian-cm",
-        torus=torus,
-        endomorphism=endo,
-        analytic=True,
-        factors=(SimpleFactorSpec(g=1, q=2),),
-    )
-
-
-def sum_difference_scenario() -> Scenario:
-    """(x, y) -> (x + y, x - y) on E x E; degree 4, multiplier 2."""
-    torus = _cm_torus(2)
-    matrix = IntegerMatrix.from_rows(
-        [
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [1, 0, -1, 0],
-            [0, 1, 0, -1],
-        ]
-    )
-    return Scenario(
-        name="silverman-sumdiff",
-        torus=torus,
-        endomorphism=LatticeEndomorphism(matrix),
-        analytic=True,
-    )
-
-
-def unpolarizable_scenario() -> Scenario:
-    """[1] x [4] on a surface times a curve: degree 16, no global multiplier."""
-    torus = _cm_torus(3)
-    matrix = IntegerMatrix.diagonal([1, 1, 1, 1, 4, 4])
-    return Scenario(
-        name="unpolarizable-1x4",
-        torus=torus,
-        endomorphism=LatticeEndomorphism(matrix),
-        analytic=True,
-    )
-
-
-def bielliptic_scenario() -> Scenario:
-    """[3] on E x E with a free order-2 affine action (bielliptic shape)."""
-    torus = _cm_torus(2)
-    endo = LatticeEndomorphism.multiplication_by(3, 2)
-    involution = LatticeEndomorphism(
-        IntegerMatrix.diagonal([1, 1, -1, -1]),
-        (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)),
-    )
-    action = GroupAction((LatticeEndomorphism.identity(2), involution))
-    return Scenario(
-        name="bielliptic-quotient",
-        torus=torus,
-        endomorphism=endo,
-        analytic=True,
-        action=action,
-        factors=(SimpleFactorSpec(g=1, q=9, multiplicity=2),),
-    )
-
-
-def diagonal_subvariety_scenario() -> Scenario:
-    """[2] x [2] on E x E restricted to the diagonal elliptic curve."""
-    torus = _cm_torus(2)
-    endo = LatticeEndomorphism.multiplication_by(2, 2)
-    basis = IntegerMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
-    translate = TorsionPoint.reduce([0, 0, 0, 0])
-    return Scenario(
-        name="diagonal-subvariety",
-        torus=torus,
-        endomorphism=endo,
-        analytic=True,
-        factors=(SimpleFactorSpec(g=1, q=4, multiplicity=2),),
-        subvariety=SubvarietySpec(basis=basis, translate=translate, period=1),
-    )
-
-
-BUILTIN_FACTORIES = {
-    "gaussian-cm": gaussian_cm_scenario,
-    "silverman-sumdiff": sum_difference_scenario,
-    "unpolarizable-1x4": unpolarizable_scenario,
-    "bielliptic-quotient": bielliptic_scenario,
-    "diagonal-subvariety": diagonal_subvariety_scenario,
-}
-
-BUILTIN_DESCRIPTIONS = {
-    "mult-by-<m>[-g<G>]": "multiplication by m on a product of G CM curves (q = m^2)",
-    "gaussian-cm": "multiplication by 1+i on the square CM curve (degree 2, q = 2)",
-    "silverman-sumdiff": "sum/difference map on E x E (degree 4, q = 2)",
-    "unpolarizable-1x4": "[1] x [4] on surface x curve (degree 16, no multiplier)",
-    "bielliptic-quotient": "[3] on E x E with a free order-2 affine action",
-    "diagonal-subvariety": "[2] x [2] on E x E restricted to the diagonal curve",
-}
-
+# The builtins.  Each is the scenario file its fields spell out, and
+# resolve_scenario builds it with scenario_from_dict as it would load that
+# file; docs/scenarios.md shows each serialized.  A fixed builtin's entry
+# is name -> (description, fields), and its fields, all but the name, are
+# built only when it is resolved.
+MULT_BY = (
+    "mult-by-<m>[-g<G>]",
+    "multiplication by m on a product of G CM curves (q = m^2)",
+)
 _MULT_PATTERN = re.compile(r"^mult-by-(\d+)(?:-g(\d+))?$")
+BUILTINS = {
+    "gaussian-cm": (
+        "multiplication by 1+i on the square CM curve (degree 2, q = 2)",
+        lambda: {
+            "torus": _cm_product(1),
+            "endomorphism": {"M": [[1, -1], [1, 1]], "analytic": True},
+            "factors": [{"g": 1, "q": 2}],
+        },
+    ),
+    "silverman-sumdiff": (
+        "sum/difference map on E x E (degree 4, q = 2)",
+        lambda: {
+            "torus": _cm_product(2),
+            "endomorphism": {
+                "M": [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]],
+                "analytic": True,
+            },
+        },
+    ),
+    "unpolarizable-1x4": (
+        "[1] x [4] on surface x curve (degree 16, no multiplier)",
+        lambda: {
+            "torus": _cm_product(3),
+            "endomorphism": {"M": _diagonal(1, 1, 1, 1, 4, 4), "analytic": True},
+        },
+    ),
+    "bielliptic-quotient": (
+        "[3] on E x E with a free order-2 affine action",
+        lambda: {
+            **_multiplication(3, 2),
+            "action": [
+                {"U": _diagonal(1, 1, 1, 1)},
+                {"U": _diagonal(1, 1, -1, -1), "s": ["1/2", 0, 0, 0]},
+            ],
+        },
+    ),
+    "diagonal-subvariety": (
+        "[2] x [2] on E x E restricted to the diagonal curve",
+        lambda: {
+            **_multiplication(2, 2),
+            "subvariety": {"basis": [[1, 0], [0, 1], [1, 0], [0, 1]]},
+        },
+    ),
+}
 
 
 def builtin_scenarios() -> list[Scenario]:
-    """One representative per builtin family (mult-by-m shown for m=2, g=1)."""
-    out = [multiplication_scenario(2)]
-    out.extend(factory() for factory in BUILTIN_FACTORIES.values())
-    return out
+    """One scenario per listed builtin, mult-by-2 standing for its family."""
+    return [resolve_scenario(name) for name in ("mult-by-2", *BUILTINS)]
 
 
 def resolve_scenario(ref: str) -> Scenario:
-    """Builtin name or path to a JSON scenario file."""
+    """Builtin name or path to a JSON scenario file; a builtin name wins."""
     if not ref:
         # Path("") is the current directory, which exists
         raise ScenarioError("empty scenario reference")
     match = _MULT_PATTERN.match(ref)
     if match:
-        m = int(match.group(1))
-        g = int(match.group(2)) if match.group(2) else 1
-        return multiplication_scenario(m, g)
-    if ref in BUILTIN_FACTORIES:
-        return BUILTIN_FACTORIES[ref]()
-    if Path(ref).exists():
+        m, g = int(match[1]), int(match[2] or 1)
+        ref = f"mult-by-{m}" if g == 1 else f"mult-by-{m}-g{g}"
+        fields = _multiplication(m, g)
+    elif ref in BUILTINS:
+        fields = BUILTINS[ref][1]()
+    elif Path(ref).exists():
         return load_scenario_file(ref)
-    raise ScenarioError(
-        f"unknown scenario {ref!r}: not a builtin name and no such file"
-    )
+    else:
+        raise ScenarioError(
+            f"unknown scenario {ref!r}: not a builtin name and no such file"
+        )
+    return scenario_from_dict({"name": ref, **fields})

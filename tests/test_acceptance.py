@@ -32,7 +32,7 @@ from torusdyn.cli import Options, run_command
 from torusdyn.fixpoint import DegenerateFixedLocusError
 from torusdyn.intersection import compare_expansion_readings, standard_symplectic_form
 from torusdyn.linalg import smith_normal_form
-from torusdyn.scenarios import builtin_scenarios, multiplication_scenario, resolve_scenario
+from torusdyn.scenarios import builtin_scenarios, resolve_scenario
 
 from oracles import random_matrix, random_nonsingular
 
@@ -154,7 +154,7 @@ def test_criterion_07_polarization_examples():
 
     for m in (2, 3, 4):
         for g in (1, 2):
-            scenario = multiplication_scenario(m, g)
+            scenario = resolve_scenario(f"mult-by-{m}-g{g}")
             assert (
                 polarization_multiplier(scenario.endomorphism, scenario.torus)
                 == m * m

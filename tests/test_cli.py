@@ -411,6 +411,24 @@ class TestHelp:
             if default is not None:
                 assert f"(default {default})" in out
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("growth", "table up to this iterate (default 10)"),
+            ("compare", "table up to this iterate (default 10)"),
+            ("quotient", "table up to this iterate"),
+            ("subvariety", "table up to this iterate"),
+        ],
+    )
+    def test_lmax_help_names_the_default_applied(self, capsys, command, text):
+        # growth and compare tabulate l = 1..10 without --lmax; quotient and
+        # subvariety then count the single iterate --l
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert f"--lmax LMAX {text}" in lines
+
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as stop:
             main(["--help"])
@@ -639,6 +657,34 @@ class TestScenariosCommand:
             "mult-by-<m>",
         ):
             assert name in out
+
+
+class TestBuiltinNameAgainstFile:
+    """A builtin name wins over a file of that name; a path names the file."""
+
+    @pytest.fixture
+    def shadowing_file(self, tmp_path, monkeypatch):
+        scenario = dataclasses.replace(resolve_scenario("mult-by-2"), name="from-file")
+        save_scenario_file(scenario, tmp_path / "gaussian-cm")
+        monkeypatch.chdir(tmp_path)
+
+    def test_builtin_name_resolves_the_builtin(self, capsys, shadowing_file):
+        code, out, _ = run_cli(capsys, "count", "--scenario", "gaussian-cm", "--l", "2")
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "# command: count --scenario gaussian-cm --l 2",
+            "# scenario: gaussian-cm",
+        ]
+        assert out.split()[-1] == "5"
+
+    def test_path_loads_the_file(self, capsys, shadowing_file):
+        code, out, _ = run_cli(capsys, "count", "--scenario", "./gaussian-cm", "--l", "2")
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "# command: count --scenario ./gaussian-cm --l 2",
+            "# scenario: from-file",
+        ]
+        assert out.split()[-1] == "9"
 
 
 # any text, weighted towards the characters CSV has to quote

@@ -26,13 +26,7 @@ from torusdyn import (
     power,
 )
 from torusdyn.linalg import NonSquareMatrixError
-from torusdyn.scenarios import (
-    bielliptic_scenario,
-    diagonal_subvariety_scenario,
-    gaussian_cm_scenario,
-    multiplication_scenario,
-    sum_difference_scenario,
-)
+from torusdyn.scenarios import resolve_scenario
 
 from oracles import random_nonsingular
 
@@ -237,11 +231,11 @@ class TestGrowthTable:
     def test_ratio_bound_on_builtins(self):
         # |ratio - 1| <= 2^(2 - l/2) checked exactly: 2^l (ratio-1)^2 <= 16
         scenarios = [
-            (multiplication_scenario(2), 4),
-            (gaussian_cm_scenario(), 2),
-            (sum_difference_scenario(), 2),
-            (multiplication_scenario(3, 2), 9),
-            (bielliptic_scenario(), 9),
+            (resolve_scenario("mult-by-2"), 4),
+            (resolve_scenario("gaussian-cm"), 2),
+            (resolve_scenario("silverman-sumdiff"), 2),
+            (resolve_scenario("mult-by-3-g2"), 9),
+            (resolve_scenario("bielliptic-quotient"), 9),
         ]
         for scenario, q in scenarios:
             rows = growth_table(scenario.endomorphism, q, scenario.torus.g, 12)
@@ -338,7 +332,7 @@ class TestEigenvalueMagnitude:
 
     def test_sumdiff_roots(self):
         # charpoly is (x^2 - 2)^2; roots +-sqrt(2) with |root|^2 = 2
-        scenario = sum_difference_scenario()
+        scenario = resolve_scenario("silverman-sumdiff")
         check = eigenvalue_magnitude_check(scenario.endomorphism, 2)
         assert check.passed
         assert check.max_residual <= 1e-9
@@ -359,7 +353,7 @@ class TestEigenvalueMagnitude:
 
 class TestPeriodicSubvariety:
     def test_diagonal_restriction_counts(self):
-        scenario = diagonal_subvariety_scenario()
+        scenario = resolve_scenario("diagonal-subvariety")
         sub = scenario.subvariety
         for l in (1, 2, 3, 4):
             count = periodic_subvariety_count(
@@ -376,7 +370,7 @@ class TestPeriodicSubvariety:
         assert count == 1
 
     def test_restriction_is_built_once_for_a_table_of_counts(self, monkeypatch):
-        scenario = diagonal_subvariety_scenario()
+        scenario = resolve_scenario("diagonal-subvariety")
         sub = scenario.subvariety
         calls = []
         restrict = fixpoint.restrict_to_sublattice
@@ -398,7 +392,7 @@ class TestPeriodicSubvariety:
         assert len(calls) == 1
 
     def test_iterate_below_one_refused_by_count_fixed(self):
-        scenario = diagonal_subvariety_scenario()
+        scenario = resolve_scenario("diagonal-subvariety")
         sub = scenario.subvariety
         with pytest.raises(ValueError, match="^iterate must be >= 1$"):
             periodic_subvariety_count(
@@ -424,7 +418,7 @@ class TestPeriodicSubvariety:
         assert count == (4 - 1) ** 2
 
     def test_triple_path_agreement_on_restriction(self):
-        scenario = diagonal_subvariety_scenario()
+        scenario = resolve_scenario("diagonal-subvariety")
         sub = scenario.subvariety
         from torusdyn import restrict_to_sublattice
 

@@ -29,8 +29,8 @@ from torusdyn import (
     scenario_to_dict,
 )
 from torusdyn import fixpoint, quotient
+from torusdyn.intersection import standard_symplectic_form
 from torusdyn.lattice import collector_paused
-from torusdyn.scenarios import _cm_torus
 
 from oracles import random_matrix, random_nonsingular, random_unimodular
 
@@ -38,6 +38,13 @@ J0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 S0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 GAUSSIAN = IntegerMatrix.from_rows([[1, -1], [1, 1]])
 HALF = Fraction(1, 2)
+
+
+def _cm_torus(g: int) -> ComplexTorus:
+    """g square CM curves: multiplication by i and the Riemann form are both
+    the standard symplectic form."""
+    blocks = standard_symplectic_form(g)
+    return ComplexTorus(g, complex_structure=blocks, riemann_form=blocks)
 
 
 def endo(rows, t=None):

@@ -211,6 +211,15 @@ class TestBuiltins:
         with pytest.raises(ScenarioError, match=refusal):
             resolve_scenario(ref)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit cap"
+    )
+    @pytest.mark.parametrize("name", ["gaussian-cm", "mult-by-2"])
+    def test_resolving_a_builtin_lifts_the_digit_cap(self, default_int_digit_limit, name):
+        # a builtin is built by scenario_from_dict, as a scenario file is
+        resolve_scenario(name)
+        assert sys.get_int_max_str_digits() == 0
+
     def test_mult_by_parametric(self):
         scenario = resolve_scenario("mult-by-3")
         assert scenario.torus.g == 1
