@@ -348,7 +348,7 @@ def _cm_product(g: int) -> dict:
     return {"g": g, "J": blocks, "S": blocks}
 
 
-def _diagonal(*values: int) -> list[list[int]]:
+def _diagonal(values: list[int]) -> list[list[int]]:
     return IntegerMatrix.diagonal(values).to_lists()
 
 
@@ -360,7 +360,7 @@ def _multiplication(m: int, g: int) -> dict:
         raise ScenarioError("mult-by-m needs g >= 1")
     return {
         "torus": _cm_product(g),
-        "endomorphism": {"M": _diagonal(*[m] * (2 * g)), "analytic": True},
+        "endomorphism": {"M": _diagonal([m] * (2 * g)), "analytic": True},
         "factors": [{"g": 1, "q": m * m, "r": g}],
     }
 
@@ -398,7 +398,7 @@ BUILTINS = {
         "[1] x [4] on surface x curve (degree 16, no multiplier)",
         lambda: {
             "torus": _cm_product(3),
-            "endomorphism": {"M": _diagonal(1, 1, 1, 1, 4, 4), "analytic": True},
+            "endomorphism": {"M": _diagonal([1, 1, 1, 1, 4, 4]), "analytic": True},
         },
     ),
     "bielliptic-quotient": (
@@ -406,8 +406,8 @@ BUILTINS = {
         lambda: {
             **_multiplication(3, 2),
             "action": [
-                {"U": _diagonal(1, 1, 1, 1)},
-                {"U": _diagonal(1, 1, -1, -1), "s": ["1/2", 0, 0, 0]},
+                {"U": _diagonal([1, 1, 1, 1])},
+                {"U": _diagonal([1, 1, -1, -1]), "s": ["1/2", 0, 0, 0]},
             ],
         },
     ),
