@@ -28,6 +28,7 @@ BUILTINS = (
 )
 RUNS = (
     "count --l 2",
+    "count --l 1100",
     "enumerate --l 1",
     "growth --lmax 3",
     "compare --lmax 3",
