@@ -16,10 +16,14 @@ whose divisions are exact; power_sums runs them the other way.  From
 n = 12 on, a step whose left factor has entries of at most 64 bits packs
 each row of its right factor into one int (Kronecker substitution), so
 the product costs n^2 big-integer operations instead of n^3 small ones.
+power_mod takes x^l mod a monic polynomial by binary powering with the
+schoolbook product_mod, and power_bits estimates the bits of a matrix
+power's entries before it is formed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -529,6 +533,54 @@ def power_sums(p: IntegerPolynomial) -> Iterator[int]:
             total += k * tail[k - 1]
         window.appendleft(-total)
         yield -total
+
+
+def product_mod(
+    a: IntegerPolynomial, b: IntegerPolynomial, p: IntegerPolynomial
+) -> IntegerPolynomial:
+    """a * b mod the monic p: the schoolbook product, then each term
+    x^k, k >= N = deg p, folded down by x^N = -sum_(i<N) c_i x^i."""
+    *tail, lead = p.coefficients  # c_0, ..., c_(N-1) and c_N
+    if lead != 1:
+        raise ValueError("reduction mod p needs a monic polynomial")
+    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients, i):
+            out[j] += x * y
+    n = len(tail)
+    for k in range(len(out) - 1, n - 1, -1):
+        top = out.pop()
+        for i, c in enumerate(tail, k - n):
+            out[i] -= top * c
+    return IntegerPolynomial(tuple(out) or (0,))
+
+
+def power_mod(p: IntegerPolynomial, l: int) -> IntegerPolynomial:
+    """x^l mod the monic p, for l >= 1, by binary powering in Z[x]/(p).
+
+    Each step is one product_mod, O(N^2) coefficient products for
+    N = deg p, so O(N^2 log l) in all; no N x N matrix is formed.  For
+    p = charpoly(m), r(m) = m^l with r the result, so its coefficients
+    grow like the entries of m^l.
+    """
+    l = operator.index(l)
+    if l < 1:
+        raise ValueError("exponent must be >= 1")
+    # x reduced mod p: a constant when deg p = 1
+    x = product_mod(IntegerPolynomial((0, 1)), IntegerPolynomial((1,)), p)
+    return binary_power(x, l, functools.partial(product_mod, p=p))
+
+
+def power_bits(m: IntegerMatrix, l: int) -> int:
+    """Estimated bit length of the entries of m^l: l ceil(log2 |m|) + ceil(log2 n).
+
+    |m| is the largest absolute row sum, which is submultiplicative, so
+    every entry of m^l is at most |m|^l in size; ceil(log2 n) more bits
+    cover a sum of n such entries.  It reads only m's entries, so a
+    caller can decide how to form m^l before forming it.
+    """
+    norm = max(sum(map(abs, m.row(i))) for i in range(m.rows))
+    return l * max(norm - 1, 0).bit_length() + (m.rows - 1).bit_length()
 
 
 def _pfaffian_eliminate(a: list[list[int]]) -> int:

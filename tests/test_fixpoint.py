@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,12 @@ from torusdyn import (
     periodic_subvariety_count,
     power,
 )
-from torusdyn.linalg import NonSquareMatrixError
+from torusdyn.lattice import complementary_isogeny
+from torusdyn.linalg import NonSquareMatrixError, power_bits
 from torusdyn.scenarios import resolve_scenario
 
-from oracles import random_nonsingular
+from oracles import random_matrix, random_nonsingular, random_unimodular
+from test_grid_properties import FINITE_ORDER_BLOCKS
 
 GAUSSIAN = LatticeEndomorphism(IntegerMatrix.from_rows([[1, -1], [1, 1]]))
 HALF = Fraction(1, 2)
@@ -67,6 +70,123 @@ class TestCountFixed:
                 except DegenerateFixedLocusError:
                     continue
                 assert count_fixed(shifted, l) == expected
+
+
+def bareiss_iterate(m: IntegerMatrix, l: int) -> int:
+    return det(m**l - IntegerMatrix.identity(m.rows))
+
+
+def first_iterate_past_bound(m: IntegerMatrix) -> int:
+    """The least l whose power_bits estimate exceeds count_fixed's bound."""
+    per_iterate = power_bits(m, 1) - power_bits(m, 0)
+    return (fixpoint._BAREISS_MAX_BITS - power_bits(m, 0)) // per_iterate + 1
+
+
+def gaussian_count(l: int) -> int:
+    """|(1 + i)^l - 1|^2, powering left to right in Z[i]."""
+    re, im = 1, 0
+    for bit in bin(l)[2:]:
+        re, im = re * re - im * im, 2 * re * im
+        if bit == "1":
+            re, im = re - im, re + im
+    return (re - 1) ** 2 + im**2
+
+
+class TestLargeIterates:
+    """det(M^l - I) from charpoly(M), the path count_fixed takes past the bound."""
+
+    def test_equals_bareiss_on_both_sides_of_the_bound(self):
+        rng = random.Random(89)
+        for n in range(1, 9):
+            for _ in range(4):
+                m = random_matrix(rng, n)
+                if power_bits(m, 1) == power_bits(m, 0):
+                    continue  # |m| <= 1: the estimate never crosses
+                past = first_iterate_past_bound(m)
+                for l in (1, 2, 3, 7, past - 1, past):
+                    assert fixpoint._determinant_from_charpoly(m, l) == bareiss_iterate(m, l)
+
+    def test_count_fixed_on_both_sides_of_the_bound(self):
+        rng = random.Random(97)
+        for n in (2, 4, 6, 8):
+            m = random_nonsingular(rng, n)
+            past = first_iterate_past_bound(m)
+            for l in (past - 1, past, past + 1):
+                expected = bareiss_iterate(m, l)
+                if expected == 0:
+                    continue
+                assert count_fixed(LatticeEndomorphism(m), l) == abs(expected)
+
+    @pytest.mark.parametrize(
+        "label, rows",
+        (
+            ("singular", [[1, 2, 0], [2, 4, 1], [3, 6, 1]]),
+            ("singular rank 1", [[2, -1], [-4, 2]]),
+            ("nilpotent", [[0, 1], [0, 0]]),
+            ("zero", [[0, 0], [0, 0]]),
+            ("scalar", [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]]),
+            ("negative scalar", [[-2, 0, 0], [0, -2, 0], [0, 0, -2]]),
+            ("jordan block", [[2, 1], [0, 2]]),
+            ("negative det", [[-2, 0], [0, 3]]),
+            ("negative det, dense", [[1, 2, 1], [3, -1, 2], [0, 1, 1]]),
+            ("rank 1", [[-5]]),
+        ),
+    )
+    def test_special_matrices(self, label, rows):
+        m = IntegerMatrix.from_rows(rows)
+        for l in (1, 2, 3, 64, 1023, 1024, 1025, 2049):
+            assert fixpoint._determinant_from_charpoly(m, l) == bareiss_iterate(m, l), (label, l)
+
+    def test_degenerate_iterates_are_zero_on_both_paths(self):
+        rng = random.Random(101)
+        for rows in FINITE_ORDER_BLOCKS:
+            block = IntegerMatrix.from_rows(rows)
+            order = next(k for k in range(1, 7) if block**k == IntegerMatrix.identity(2))
+            matrix = IntegerMatrix.block_diagonal([random_nonsingular(rng, 2), block])
+            p = random_unimodular(rng, 4)
+            p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
+            m = p * matrix * p_inv
+            past = -(-first_iterate_past_bound(m) // order) * order
+            for l in (order, 2 * order, past):
+                assert bareiss_iterate(m, l) == 0
+                assert fixpoint._determinant_from_charpoly(m, l) == 0
+            with pytest.raises(DegenerateFixedLocusError):
+                count_fixed(LatticeEndomorphism(m), past)
+
+    @pytest.mark.parametrize("l", (10**5, 10**5 + 1))
+    def test_gaussian_closed_form(self, l):
+        assert count_fixed(resolve_scenario("gaussian-cm").endomorphism, l) == gaussian_count(l)
+
+    def test_scalar_closed_form(self):
+        f = resolve_scenario("mult-by-3-g2").endomorphism
+        assert count_fixed(f, 2000) == (3**2000 - 1) ** 4
+
+    def test_path_switches_at_the_bound(self, monkeypatch):
+        # gaussian-cm's estimate is l + 1 bits
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(IntegerMatrix, "__pow__", counted("powers", IntegerMatrix.__pow__))
+        monkeypatch.setattr(fixpoint, "det", counted("dets", fixpoint.det))
+        monkeypatch.setattr(fixpoint, "power_mod", counted("power_mod", fixpoint.power_mod))
+        assert [power_bits(GAUSSIAN.matrix, l) for l in (1023, 1024)] == [1024, 1025]
+        assert fixpoint._BAREISS_MAX_BITS == 1024
+        assert count_fixed(GAUSSIAN, 1023) == gaussian_count(1023)
+        assert calls == {"powers": 1, "dets": 1}
+        calls.clear()
+        assert count_fixed(GAUSSIAN, 1024) == gaussian_count(1024)
+        assert calls == {"power_mod": 1}
+
+    @pytest.mark.parametrize("l", (2.0, 2.5, "3"))
+    def test_iterate_must_be_an_integer(self, l):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            count_fixed(GAUSSIAN, l)
 
 
 class TestEnumerateFixed:

@@ -19,8 +19,11 @@ from torusdyn import linalg
 from torusdyn.linalg import (
     NonSquareMatrixError,
     SkewSymmetryError,
+    power_bits,
+    power_mod,
     power_sum_polynomial,
     power_sums,
+    product_mod,
 )
 
 from oracles import (
@@ -419,6 +422,105 @@ class TestPowerSums:
         for coefficients in ((0,), (1, 2), (3, 0, -1)):
             with pytest.raises(ValueError, match="monic"):
                 next(power_sums(IntegerPolynomial(coefficients)))
+
+
+def times_x_mod(coefficients: list[int], p: IntegerPolynomial) -> list[int]:
+    """x * r mod the monic p, r given by its deg p ascending coefficients."""
+    *tail, _ = p.coefficients
+    shifted = [0, *coefficients]
+    top = shifted.pop()
+    return [c - top * t for c, t in zip(shifted, tail)]
+
+
+def random_monic(rng: random.Random, degree: int) -> IntegerPolynomial:
+    return IntegerPolynomial(tuple(rng.randint(-9, 9) for _ in range(degree)) + (1,))
+
+
+class TestPowerMod:
+    def test_equals_repeated_multiplication_by_x(self):
+        rng = random.Random(71)
+        for degree in range(1, 9):
+            p = random_monic(rng, degree)
+            r = times_x_mod([1] + [0] * (degree - 1), p)
+            for l in range(1, 40):
+                assert power_mod(p, l) == IntegerPolynomial(tuple(r))
+                r = times_x_mod(r, p)
+
+    def test_remainder_at_the_matrix_is_its_power(self):
+        # Cayley-Hamilton: m^l = r(m) for r = x^l mod charpoly(m)
+        rng = random.Random(73)
+        for n in range(1, 7):
+            m = random_matrix(rng, n)
+            for l in (1, 2, 5, 17, 64):
+                r = power_mod(charpoly(m), l)
+                value = IntegerMatrix.zero(n, n)
+                for c in reversed(r.coefficients):
+                    value = value * m + IntegerMatrix.scalar(n, c)
+                assert value == m**l
+
+    def test_degree_one_is_a_constant(self):
+        for a in (-3, -1, 0, 1, 2, 7):
+            for l in (1, 2, 3, 10, 101):
+                assert power_mod(IntegerPolynomial((-a, 1)), l) == IntegerPolynomial((a**l,))
+
+    def test_refuses_a_polynomial_that_is_not_monic(self):
+        one_plus_x = IntegerPolynomial((1, 1))
+        for coefficients in ((0,), (1, 2), (3, 0, -1)):
+            p = IntegerPolynomial(coefficients)
+            with pytest.raises(ValueError, match="monic"):
+                power_mod(p, 3)
+            with pytest.raises(ValueError, match="monic"):
+                product_mod(one_plus_x, one_plus_x, p)
+
+    @pytest.mark.parametrize("l", (0, -1, -5))
+    def test_refuses_an_exponent_below_one(self, l):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            power_mod(IntegerPolynomial((2, -3, 1)), l)
+
+    @pytest.mark.parametrize("l", (2.0, 2.5, "3"))
+    def test_exponent_must_be_an_integer(self, l):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            power_mod(IntegerPolynomial((2, -3, 1)), l)
+
+    def test_product_mod_equals_the_product_reduced(self):
+        rng = random.Random(79)
+        for degree in range(1, 7):
+            p = random_monic(rng, degree)
+            for _ in range(5):
+                a = [rng.randint(-50, 50) for _ in range(degree)]
+                b = [rng.randint(-50, 50) for _ in range(degree)]
+                # a * b = sum_j b_j x^j a, each x^j a reduced by times_x_mod
+                expected, shifted = [0] * degree, a
+                for coefficient in b:
+                    expected = [e + coefficient * s for e, s in zip(expected, shifted)]
+                    shifted = times_x_mod(shifted, p)
+                product = product_mod(IntegerPolynomial(tuple(a)), IntegerPolynomial(tuple(b)), p)
+                assert product == IntegerPolynomial(tuple(expected))
+
+
+class TestPowerBits:
+    @pytest.mark.parametrize(
+        "rows, per_iterate",
+        (
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),  # |m| = 0
+            ([[0, 1, 0], [0, 0, -1], [1, 0, 0]], 0),  # |m| = 1
+            ([[1, -1, 0], [1, 1, 0], [0, 0, 1]], 1),  # |m| = 2
+            ([[1, 2, 0], [0, -3, 0], [0, 0, 1]], 2),  # |m| = 3
+        ),
+    )
+    def test_estimate(self, rows, per_iterate):
+        m = IntegerMatrix.from_rows(rows)
+        for l in (1, 2, 7, 1000):
+            # ceil(log2 3) = 2
+            assert power_bits(m, l) == per_iterate * l + 2
+
+    def test_bounds_the_entries_of_the_power(self):
+        rng = random.Random(83)
+        for n in range(1, 9):
+            m = random_matrix(rng, n)
+            for l in (1, 2, 3, 10, 40):
+                largest = max(map(abs, (m**l).entries))
+                assert largest.bit_length() <= power_bits(m, l)
 
 
 class TestPfaffian:
