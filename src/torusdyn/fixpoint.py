@@ -3,14 +3,19 @@
 Ground truth is the determinant count |det(M^l - I)|, valid because
 nondegenerate fixed points are simple; an enumeration path (Smith form
 congruence solving) and a brute-force grid scan provide two independent
-cross-checks.  A single count takes the determinant by Bareiss on M^l
-while M^l's entries stay small, and past a bit bound from charpoly(M):
-power sums of x^l mod charpoly(M) and Newton's identities.  Growth
-tables and comparison reports keep every value exact (big integers and
-Fractions).  Their rows come from iterate_determinants: det(M^l - I) is
-a signed sum of the traces of (wedge^k M)^l, each of which obeys a
-linear recurrence (the rationality of the dynamical zeta function), and
-Bareiss determinants of M^l check the first 2^n rows and the last.
+cross-checks.  Table rows and large single counts split over the
+squarefree factors of charpoly(M) = prod_i a_i^i, as
+det(M^l - I) = prod_i D_l(a_i)^i with D_l(a) the product of
+alpha^l - 1 over the roots alpha of a, so a repeated eigenvalue is
+paid for once.  A single count takes the determinant by Bareiss on M^l
+while M^l's entries stay small, and past a bit bound from each factor
+a: power sums of x^l mod a and Newton's identities.  Growth tables and
+comparison reports keep every value exact (big integers and
+Fractions).  Their rows come from
+iterate_determinants: D_l(a) is a signed sum of the traces of the
+exterior powers of a's companion matrix to the l, each of which obeys
+a linear recurrence (the rationality of the dynamical zeta function),
+and Bareiss determinants of M^l check the first 2^n rows and the last.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .linalg import (
     power_sums,
     product_mod,
     smith_normal_form,
+    squarefree_factors,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -132,11 +138,13 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     While linalg.power_bits(M, l), the estimated bits of M^l's entries,
     is at most _BAREISS_MAX_BITS = 1024, M^l is one binary power,
     O(log l) matrix products, and Bareiss takes det(M^l - I).  Past it,
-    _determinant_from_charpoly takes the value from charpoly(M) and
-    x^l mod charpoly(M), O(n^2 log l) coefficient products, with no
-    power of M formed.  Bareiss time over the charpoly path's time on
-    seeded random [-3, 3] matrices (2-vCPU, Python 3.11, median of 3 to
-    7 calls; above 1 the charpoly path is faster):
+    _determinant_from_charpoly takes the value from the squarefree
+    factors a of charpoly(M) and x^l mod a, O(m^2 log l) coefficient
+    products for a of degree m, with no power of M formed.  Bareiss time
+    over the charpoly path's time on seeded random [-3, 3] matrices,
+    whose charpolys are squarefree (2-vCPU, Python 3.11, median of 3 to
+    7 calls, measured before the split; above 1 the charpoly path is
+    faster):
 
         estimate   n = 2   n = 3   n = 4   n = 6   n = 8   n = 12
         64 bits    0.73    0.87    0.61    0.54    0.70    0.68
@@ -147,9 +155,11 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
         65536      9.43    2.51    1.45    3.07    3.61
 
     A second seed read 0.88 / 1.04 / 2.31 / 1.78 at 1024 bits for
-    n = 2 / 4 / 6 / 8.  Sparse matrices keep Bareiss cheap a little
-    longer: mult-by-2-g3 at l = 1100 and bielliptic-quotient at
-    l = 10^4 run at 0.7-0.8, and both at l = 10^5 at 1.9-31.
+    n = 2 / 4 / 6 / 8.  The scalar and sparse builtins that cross the
+    bound early have repeated eigenvalues, which the charpoly path pays
+    for once: at l = 1100 / 10^4 (best of 5) the ratio reads 2.6 / 50
+    on mult-by-2-g3, 1.9 / 16 on bielliptic-quotient and 1.9 / 15 on
+    mult-by-3-g2.
 
     A table over l = 1..l_max goes through iterate_determinants instead.
     """
@@ -164,29 +174,95 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     return nondegenerate_count(l, d)
 
 
-def _determinant_from_charpoly(m: IntegerMatrix, l: int) -> int:
-    """det(m^l - I), signed, from p = charpoly(m) and r = x^l mod p.
+def _shifted_power(b: int, l: int) -> int:
+    """b^l for l >= 1, with the 2-adic part of b taken by a shift.
 
-    With lambda the roots of p and e_k the elementary symmetric
-    functions, det(m^l - I) = sum_k (-1)^(n-k) e_k(lambda^l).  Since
-    r(m) = m^l, the traces tr(m^(jl)), j < n, are sum_i coeff_i(r^j) p_i
-    with r^j = r^(j-1) r mod p, p_0 = n and p_1..p_(n-1) the power sums
-    of p.  Newton's identities (power_sum_polynomial) turn them into
-    e = sum_(k<n) (-1)^k e_k(lambda^l) x^(n-1-k): step k reads only
-    p_1..p_k.  e_n(lambda^l) = det(m)^l is one integer power, so the
-    last Newton step, with the largest products, is never taken, and
-    det(m^l - I) = (-1)^n e(1) + det(m)^l.  For n = 1, r is a constant
-    and e = 1.
+    b = 2^s u, u odd, gives b^l = u^l 2^(sl): int.__pow__ multiplies its
+    way up even for b = 2, while a shift only writes the bits.
     """
-    n = m.rows
-    p = charpoly(m)
-    sums = [n, *itertools.islice(power_sums(p), n - 1)]
-    r_powers = itertools.accumulate(
-        itertools.repeat(power_mod(p, l), n - 1), functools.partial(product_mod, p=p)
+    if not b:
+        return 0
+    s = (b & -b).bit_length() - 1
+    return (b >> s) ** l << (s * l)
+
+
+def _factor_determinant(a: IntegerPolynomial, l: int) -> int:
+    """D_l(a) = prod over the roots alpha of the monic a of (alpha^l - 1).
+
+    With m = deg a and e_k the elementary symmetric functions,
+    D_l(a) = sum_k (-1)^(m-k) e_k(alpha^l).  Since r = x^l mod a has
+    r(C) = C^l for C a's companion matrix, the traces
+    sum_alpha alpha^(jl), j < m, are sum_i coeff_i(r^j) p_i with
+    r^j = r^(j-1) r mod a, p_0 = m and p_1..p_(m-1) the power sums of a.
+    Newton's identities (power_sum_polynomial) turn them into
+    e = sum_(k<m) (-1)^k e_k(alpha^l) x^(m-1-k): step k reads only
+    p_1..p_k.  e_m(alpha^l) = ((-1)^m a_0)^l is one integer power, so
+    the last Newton step, with the largest products, is never taken,
+    and D_l(a) = (-1)^m e(1) + ((-1)^m a_0)^l.  For m = 1 no x^l mod a
+    is formed and e = 1.
+    """
+    m = len(a.coefficients) - 1
+    traces = []
+    if m > 1:
+        sums = [m, *itertools.islice(power_sums(a), m - 1)]
+        r_powers = itertools.accumulate(
+            itertools.repeat(power_mod(a, l), m - 1), functools.partial(product_mod, p=a)
+        )
+        traces = [sum(map(operator.mul, r.coefficients, sums)) for r in r_powers]
+    sign = (-1) ** m
+    return sign * power_sum_polynomial(traces)(1) + _shifted_power(sign * a.coefficients[0], l)
+
+
+def _determinant_from_charpoly(m: IntegerMatrix, l: int) -> int:
+    """det(m^l - I), signed, from the squarefree factors of charpoly(m).
+
+    With charpoly(m) = prod_i a_i^i (linalg.squarefree_factors),
+    det(m^l - I) = prod_i D_l(a_i)^i, each D_l(a_i) from a_i and
+    x^l mod a_i (_factor_determinant), so a repeated eigenvalue is paid
+    for once.
+    """
+    return math.prod(
+        _factor_determinant(a, l) ** i for a, i in squarefree_factors(charpoly(m))
     )
-    traces = [sum(map(operator.mul, r.coefficients, sums)) for r in r_powers]
-    sign = (-1) ** n
-    return sign * power_sum_polynomial(traces)(1) + (sign * p.coefficients[0]) ** l
+
+
+def _factor_rows(a: IntegerPolynomial, l_max: int) -> Iterator[int]:
+    """Yield D_l(a) = prod over the roots alpha of the monic a of
+    (alpha^l - 1) for l = 1, 2, ..., without end.
+
+    With m = deg a, D_l(a) = sum_k (-1)^(m-k) s_k(l) for the columns
+    s_k(l) = e_k(alpha^l) = tr((wedge^k C)^l), C a's companion matrix.
+    Column 0 is 1 and column m is ((-1)^m a_0)^l, a running product.
+    Column k, 0 < k < m, is power_sums of charpoly(wedge^k C), of degree
+    C(m, k), which power_sum_polynomial builds from s_k(1..C(m, k)) by
+    Newton's identities, so no exterior matrix is formed.  The seed
+    s_k(l) is a signed coefficient of prod_alpha (x - alpha^l), whose top
+    m - 1 coefficients Newton's identities build from the power sums
+    p_(li), i < m, of a.  Only min(l_max, C(m, m/2)) seed rows are formed;
+    a column longer than l_max is built from its first l_max values,
+    whose power sums agree with the column up to l_max.  For m = 1 there
+    is no inner column and no seed.
+    """
+    m = len(a.coefficients) - 1
+    orders = [math.comb(m, k) for k in range(1, m)]
+    seeded = min(l_max, max(orders, default=0))
+    traces = list(itertools.islice(power_sums(a), (m - 1) * seeded)) if m > 1 else []
+    # prod_alpha (x - alpha^l) over x, its constant term dropped: the
+    # coefficient of x^(m-1-k) is (-1)^k e_k(alpha^l), k < m
+    seeds = [
+        power_sum_polynomial(traces[l - 1 : (m - 1) * l : l]).coefficients
+        for l in range(1, seeded + 1)
+    ]
+    columns = [
+        itertools.repeat(1),
+        *(
+            power_sums(power_sum_polynomial([(-1) ** k * c[m - 1 - k] for c in seeds[:order]]))
+            for k, order in enumerate(orders, 1)
+        ),
+        itertools.accumulate(itertools.repeat((-1) ** m * a.coefficients[0]), operator.mul),
+    ]
+    for values in zip(*columns):
+        yield sum(values[m::-2]) - sum(values[m - 1 :: -2])
 
 
 def iterate_determinants(
@@ -194,47 +270,33 @@ def iterate_determinants(
 ) -> Iterator[tuple[int, int]]:
     """Yield (l, det(M^l - I)) for l = 1..l_max, signed and exact.
 
-    The rows come from power sums, one sequence per exterior power.  With
-    lambda the eigenvalues of the n x n matrix M, column k holds
-    s_k(l) = e_k(lambda^l) = tr((wedge^k M)^l), and
-    det(M^l - I) = sum_k (-1)^(n-k) s_k(l).  Column k is power_sums of
-    charpoly(wedge^k M), of degree C(n, k), which power_sum_polynomial
-    builds from s_k(1..C(n, k)) by Newton's identities, so no exterior
-    matrix is formed.  The seed s_k(l) is a signed coefficient of
-    charpoly(M^l), built the same way from its power sums tr(M^(l i)),
-    i <= n, which are power sums of charpoly(M): one charpoly in all.
-    Only min(l_max, C(n, n/2)) seed rows are formed; a column longer than
-    l_max is built from its first l_max values, whose power sums agree
-    with the column up to l_max.
+    With charpoly(M) = prod_i a_i^i (linalg.squarefree_factors),
+    det(M^l - I) = prod_i D_l(a_i)^i, and the rows of each D_l(a_i) come
+    from power sums, one sequence per exterior power of a_i's companion
+    matrix (_factor_rows).  A row so costs sum_i 2^(deg a_i) recurrence
+    terms, not 2^n: for charpoly(M) = (x - 2)^6 it is (2^l - 1)^6, one
+    running product and one power.  One charpoly of M is formed in all.
 
     Two paths give every checked row: Bareiss det(P - I) on the walked
     P = M^l, stepped as P <- P M, pins rows 1..min(2^n, l_max), and for
     l_max > 2^n one binary power M^l_max pins row l_max; the walk stops at
-    row 2^n.  A mismatch raises AssertionError before that row is
-    yielded.  A zero determinant (a degenerate iterate) is yielded like
-    any other; the caller decides whether it refuses or flags it.  An
-    l_max < 1 raises ValueError("l_max must be >= 1") at the first row.
+    row 2^n.  These checks are taken on M, so they check the split too.
+    A mismatch raises AssertionError before that row is yielded.  A zero
+    determinant (a degenerate iterate) is yielded like any other; the
+    caller decides whether it refuses or flags it.  An l_max < 1 raises
+    ValueError("l_max must be >= 1") at the first row.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     n = f.rank
-    orders = [math.comb(n, k) for k in range(n + 1)]
-    seeded = min(l_max, orders[n // 2])
-    traces = list(itertools.islice(power_sums(charpoly(f.matrix)), n * seeded))
-    # det(xI - M^l) = sum_k (-1)^k s_k(l) x^(n-k)
-    charpolys = [
-        power_sum_polynomial(traces[l - 1 : n * l : l]).coefficients
-        for l in range(1, seeded + 1)
-    ]
-    columns = [
-        power_sums(power_sum_polynomial([(-1) ** k * c[n - k] for c in charpolys[:order]]))
-        for k, order in enumerate(orders)
-    ]
+    factors = squarefree_factors(charpoly(f.matrix))
+    multiplicities = [i for _, i in factors]
+    rows = zip(*(_factor_rows(a, l_max) for a, _ in factors))
     identity = IntegerMatrix.identity(n)
     checked = min(l_max, 2**n)
     m_l = f.matrix
-    for l, values in zip(range(1, l_max + 1), zip(*columns)):
-        d = sum(values[n::-2]) - sum(values[n - 1 :: -2])
+    for l, values in zip(range(1, l_max + 1), rows):
+        d = math.prod(map(pow, values, multiplicities))
         if 1 < l <= checked:
             m_l = m_l * f.matrix
         if l <= checked or l == l_max:
@@ -369,9 +431,11 @@ def growth_table(
     """
     check_multiplier(q)
     rows = []
+    step = q**g
+    asymptote = 1
     for l, d in iterate_determinants(f, l_max):
         exact = nondegenerate_count(l, d)
-        asymptote = q ** (g * l)
+        asymptote *= step
         rows.append(GrowthRow(l, exact, asymptote, Fraction(exact, asymptote)))
     return rows
 
@@ -410,64 +474,24 @@ def compare_exact(
     return ComparisonReport(formula_label=label, rows=tuple(rows))
 
 
-def _squarefree_part(p: IntegerPolynomial) -> list[Fraction]:
-    """Monic square-free part of p over Q (ascending coefficients).
-
-    Dividing out gcd(p, p') before numeric root isolation keeps repeated
-    eigenvalues from wrecking the root finder's accuracy.
-    """
-
-    def normalize(c: list[Fraction]) -> list[Fraction]:
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c
-
-    def polydiv(num: list[Fraction], den: list[Fraction]):
-        num = num[:]
-        quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den) and any(num):
-            shift = len(num) - len(den)
-            factor = num[-1] / den[-1]
-            quot[shift] = factor
-            for i, c in enumerate(den):
-                num[shift + i] -= factor * c
-            num = normalize(num)
-            if num == [Fraction(0)]:
-                break
-        return quot, num
-
-    a = [Fraction(c) for c in p.coefficients]
-    b = normalize([Fraction(i * c) for i, c in enumerate(p.coefficients)][1:])
-    # Euclidean gcd with monic normalization at each step.
-    while b != [Fraction(0)] and any(b):
-        _, r = polydiv(a, b)
-        a, b = b, normalize(r)
-    gcd = [c / a[-1] for c in a]
-    if len(gcd) == 1:
-        return [Fraction(c) for c in p.coefficients]
-    quot, rem = polydiv([Fraction(c) for c in p.coefficients], gcd)
-    if any(rem) and rem != [Fraction(0)]:
-        raise ArithmeticError("square-free reduction failed to divide exactly")
-    return normalize(quot)
-
-
 def eigenvalue_magnitude_check(
     f: LatticeEndomorphism, q: int, tolerance: float = 1e-9
 ) -> EigenvalueCheck:
     """Check that every root of charpoly(M) satisfies |lambda|^2 = q.
 
     Roots are isolated numerically on the square-free part of the
-    characteristic polynomial; the achieved residual is reported either
-    way.  The tolerance must be finite and >= 0: an infinite one would
-    pass every map.
+    characteristic polynomial, the product of its squarefree factors, so
+    that repeated eigenvalues do not wreck the root finder's accuracy;
+    the achieved residual is reported either way.  The tolerance must be
+    finite and >= 0: an infinite one would pass every map.
     """
     check_multiplier(q)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and >= 0")
-    p = charpoly(f.matrix)
-    reduced = _squarefree_part(p)
+    factors = squarefree_factors(charpoly(f.matrix))
+    reduced = functools.reduce(operator.mul, (a for a, _ in factors))
     try:
-        coeffs_desc = [float(c) for c in reversed(reduced)]
+        coeffs_desc = [float(c) for c in reversed(reduced.coefficients)]
         roots = np.roots(coeffs_desc)
     except (np.linalg.LinAlgError, OverflowError, ValueError) as exc:
         raise RootFindingError(f"root isolation failed: {exc}") from exc

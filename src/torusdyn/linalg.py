@@ -17,8 +17,9 @@ n = 12 on, a step whose left factor has entries of at most 64 bits packs
 each row of its right factor into one int (Kronecker substitution), so
 the product costs n^2 big-integer operations instead of n^3 small ones.
 power_mod takes x^l mod a monic polynomial by binary powering with the
-schoolbook product_mod, and power_bits estimates the bits of a matrix
-power's entries before it is formed.
+schoolbook product_mod, squarefree_factors splits a monic polynomial by
+Yun's algorithm, and power_bits estimates the bits of a matrix power's
+entries before it is formed.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ class IntegerPolynomial:
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
+        return IntegerPolynomial(tuple(_multiply(self.coefficients, other.coefficients)))
 
     def __call__(self, x):
         # Horner; works for int, Fraction, float, complex argument types.
@@ -535,6 +539,15 @@ def power_sums(p: IntegerPolynomial) -> Iterator[int]:
         yield -total
 
 
+def _multiply(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of two nonempty ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
 def product_mod(
     a: IntegerPolynomial, b: IntegerPolynomial, p: IntegerPolynomial
 ) -> IntegerPolynomial:
@@ -543,10 +556,7 @@ def product_mod(
     *tail, lead = p.coefficients  # c_0, ..., c_(N-1) and c_N
     if lead != 1:
         raise ValueError("reduction mod p needs a monic polynomial")
-    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
-    for i, x in enumerate(a.coefficients):
-        for j, y in enumerate(b.coefficients, i):
-            out[j] += x * y
+    out = _multiply(a.coefficients, b.coefficients)
     n = len(tail)
     for k in range(len(out) - 1, n - 1, -1):
         top = out.pop()
@@ -569,6 +579,117 @@ def power_mod(p: IntegerPolynomial, l: int) -> IntegerPolynomial:
     # x reduced mod p: a constant when deg p = 1
     x = product_mod(IntegerPolynomial((0, 1)), IntegerPolynomial((1,)), p)
     return binary_power(x, l, functools.partial(product_mod, p=p))
+
+
+# squarefree_factors takes gcd(p, p') modulo this prime before any
+# rational arithmetic
+_SQUAREFREE_PRIME = 2**61 - 1
+
+
+def _strip(c: list) -> list:
+    """c without its zero top coefficients; the zero polynomial is []."""
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _derivative(c: Sequence[int]) -> list[int]:
+    return [k * x for k, x in enumerate(c)][1:]
+
+
+def _divmod_monic(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num by den, whose top coefficient is 1.
+
+    No coefficient is divided, so the result is exact over Z, over Q in
+    Fractions, and over GF(P) once reduced mod P.  The remainder has
+    deg den coefficients, zero tops included.
+    """
+    num = list(num)
+    n = len(den) - 1
+    quotient = []
+    while len(num) > n:
+        c = num.pop()
+        quotient.append(c)
+        for i, y in enumerate(den[:n], len(num) - n):
+            num[i] -= c * y
+    return quotient[::-1], num
+
+
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den in Z[x] for a monic den; a remainder raises ArithmeticError."""
+    quotient, remainder = _divmod_monic(num, den)
+    if any(remainder):
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
+
+
+def _gcd(a: list, b: list, modulus: int | None = None) -> list:
+    """gcd of a and b by Euclid's algorithm, monic unless b = 0.
+
+    Over Q with Fraction coefficients, or over GF(modulus) with ints.
+    """
+    while b:
+        if modulus is None:
+            b = [x / b[-1] for x in b]
+        else:
+            inverse = pow(b[-1], -1, modulus)
+            b = [x * inverse % modulus for x in b]
+        remainder = _divmod_monic(a, b)[1]
+        if modulus is not None:
+            remainder = [x % modulus for x in remainder]
+        a, b = b, _strip(remainder)
+    return a
+
+
+def _rational_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Monic gcd over Q of the monic a and of b, integral by Gauss's lemma."""
+    return [int(x) for x in _gcd(list(map(Fraction, a)), list(map(Fraction, b)))]
+
+
+def squarefree_factors(p: IntegerPolynomial) -> list[tuple[IntegerPolynomial, int]]:
+    """The squarefree factorization p = prod_i a_i^i of a monic p, as (a_i, i).
+
+    The a_i are monic, integral, squarefree and pairwise coprime; those
+    equal to 1 are left out, so i runs over the multiplicities of p's
+    roots, ascending.  Yun's algorithm: with g = gcd(p, p'), b = p / g
+    and c = p' / g, each step takes d = c - b', a_i = gcd(b, d), then
+    b <- b / a_i and c <- d / a_i, until b = 1.  The gcds are taken over
+    Q in Fractions; each is monic and divides p, so it is integral, and
+    every division is exact in Z[x].
+
+    A squarefree p, the usual case, takes no rational arithmetic: if
+    gcd(p, p') modulo the prime _SQUAREFREE_PRIME = 2^61 - 1 is 1, so is
+    gcd(p, p') over Q, since a monic common factor over Z would keep its
+    degree mod the prime.  p is then its own factor, of multiplicity 1.
+    The product prod a_i^i is checked against p; a mismatch raises
+    AssertionError.  A p that is not monic is refused with ValueError.
+    """
+    coefficients = list(p.coefficients)
+    if coefficients[-1] != 1:
+        raise ValueError("squarefree factors need a monic polynomial")
+    derivative = _derivative(coefficients)
+    prime = _SQUAREFREE_PRIME
+    shared = _gcd([x % prime for x in coefficients], _strip([x % prime for x in derivative]), prime)
+    if len(shared) == 1:
+        factors = [(p, 1)] if len(coefficients) > 1 else []
+    else:
+        factors = []
+        g = _rational_gcd(coefficients, derivative)
+        b, c = _exact_quotient(coefficients, g), _exact_quotient(derivative, g)
+        multiplicity = 1
+        while len(b) > 1:
+            d = _strip(
+                [x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)]
+            )
+            a = _rational_gcd(b, d)
+            if len(a) > 1:
+                factors.append((IntegerPolynomial(tuple(a)), multiplicity))
+            b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+            multiplicity += 1
+    powers = (a for a, multiplicity in factors for _ in range(multiplicity))
+    if functools.reduce(operator.mul, powers, IntegerPolynomial((1,))) != p:
+        raise AssertionError("the squarefree factors do not multiply back to p")
+    return factors
 
 
 def power_bits(m: IntegerMatrix, l: int) -> int:

@@ -189,6 +189,99 @@ class TestLargeIterates:
             count_fixed(GAUSSIAN, l)
 
 
+BUILTINS = (
+    "gaussian-cm",
+    "mult-by-2-g3",
+    "silverman-sumdiff",
+    "unpolarizable-1x4",
+    "bielliptic-quotient",
+    "diagonal-subvariety",
+)
+
+
+def conjugated(rng: random.Random, blocks) -> IntegerMatrix:
+    """P diag(blocks) P^-1 for a random unimodular P."""
+    matrix = IntegerMatrix.block_diagonal([IntegerMatrix.from_rows(b) for b in blocks])
+    p = random_unimodular(rng, matrix.rows)
+    p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
+    return p * matrix * p_inv
+
+
+HYPERBOLIC = [[2, 1], [1, 1]]
+ROTATION = [[0, -1], [1, 0]]
+SPLIT_CASES = {
+    "repeated hyperbolic": [HYPERBOLIC, HYPERBOLIC],
+    "repeated gaussian and a scalar": [[[1, -1], [1, 1]], [[1, -1], [1, 1]], [[2]], [[2]]],
+    "three equal blocks": [[[2, -1], [3, 1]]] * 3,
+    "jordan block": [[[2, 1], [0, 2]], [[2]], [[2]]],
+    "singular factor x": [[[0]], [[5]], HYPERBOLIC, HYPERBOLIC],
+    "repeated singular factor": [[[0]], [[0]], [[-3]], [[-3]]],
+    "repeated rotation": [ROTATION, ROTATION, [[3]], [[3]]],
+    "roots of unity of orders 3 and 6": [FINITE_ORDER_BLOCKS[2], FINITE_ORDER_BLOCKS[4], [[2]], [[2]]],
+    "minus one twice": [[[-1]], [[-1]], [[2]], [[2]]],
+}
+
+
+def split_matrices() -> list:
+    rng = random.Random(127)
+    cases = [(name, resolve_scenario(name).endomorphism.matrix) for name in BUILTINS]
+    cases += [(name, conjugated(rng, blocks)) for name, blocks in SPLIT_CASES.items()]
+    return [pytest.param(m, id=name) for name, m in cases]
+
+
+class TestSplitSpectrum:
+    """Rows and counts from the squarefree factors of charpoly(M), against
+    Bareiss on each M**l."""
+
+    @pytest.mark.parametrize("m", split_matrices())
+    def test_table_rows_and_counts_equal_bareiss(self, m):
+        f = LatticeEndomorphism(m)
+        l_max = 2**m.rows + 6
+        expected = [bareiss_iterate(m, l) for l in range(1, l_max + 1)]
+        assert list(fixpoint.iterate_determinants(f, l_max)) == list(enumerate(expected, 1))
+        iterates = [1, 2, 3, l_max]
+        if power_bits(m, 1) > power_bits(m, 0):
+            past = first_iterate_past_bound(m)
+            iterates += [past - 1, past]
+        for l in iterates:
+            d = bareiss_iterate(m, l)
+            assert fixpoint._determinant_from_charpoly(m, l) == d, l
+            if d:
+                assert count_fixed(f, l) == abs(d)
+            else:
+                with pytest.raises(DegenerateFixedLocusError):
+                    count_fixed(f, l)
+
+    def test_unpolarizable_rows_are_all_degenerate(self):
+        # charpoly (x - 4)^2 (x - 1)^4: the factor x - 1 gives D_l = 0
+        f = resolve_scenario("unpolarizable-1x4").endomorphism
+        assert {d for _, d in fixpoint.iterate_determinants(f, 70)} == {0}
+
+    def test_linear_factors_form_no_generator(self, monkeypatch):
+        # charpoly (x - 2)^6: every row and every count is (2^l - 1)^6
+        f = resolve_scenario("mult-by-2-g3").endomorphism
+        calls = Counter()
+        for name in ("power_sums", "power_sum_polynomial", "power_mod"):
+            original = getattr(fixpoint, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(fixpoint, name, counted)
+        rows = list(fixpoint.iterate_determinants(f, 80))
+        assert rows == [(l, (2**l - 1) ** 6) for l in range(1, 81)]
+        assert count_fixed(f, 1100) == (2**1100 - 1) ** 6
+        # count_fixed's single factor x - 2 has no x^l mod (x - 2) formed; the
+        # one Newton call is the empty sum's constant 1
+        assert calls == {"power_sum_polynomial": 1}
+
+    @pytest.mark.parametrize("b", (0, 1, -1, 2, -2, 3, -3, 6, -12, 64, -96, 2**70 * 3))
+    @pytest.mark.parametrize("l", (1, 2, 3, 7, 64, 1001))
+    def test_shifted_power(self, b, l):
+        assert fixpoint._shifted_power(b, l) == b**l
+
+
 class TestEnumerateFixed:
     def test_mult_2_l1_only_origin(self):
         points = enumerate_fixed(mult(2), 1)

@@ -250,10 +250,12 @@ def test_tables_at_ranks_8_and_16(monkeypatch, rank, l_max, seed):
     monkeypatch.setattr(fixpoint, "power_sums", bounded)
     dets = power_determinants(f, l_max)
     assert list(iterate_determinants(f, l_max)) == list(enumerate(dets, start=1))
-    # charpoly(M^l) for each seed row, then one polynomial per column
-    # k = 0..n from its first min(l_max, C(n, k)) values
-    assert polynomials == [rank] * seeded + [
-        min(l_max, math.comb(rank, k)) for k in range(rank + 1)
+    # charpoly(M) is squarefree, one factor of degree n: the top n - 1
+    # coefficients of charpoly(M^l) for each seed row, then one polynomial
+    # per column k = 1..n-1 from its first min(l_max, C(n, k)) values; the
+    # columns k = 0 and k = n are closed forms
+    assert polynomials == [rank - 1] * seeded + [
+        min(l_max, math.comb(rank, k)) for k in range(1, rank)
     ]
 
 

@@ -24,6 +24,7 @@ from torusdyn.linalg import (
     power_sum_polynomial,
     power_sums,
     product_mod,
+    squarefree_factors,
 )
 
 from oracles import (
@@ -496,6 +497,95 @@ class TestPowerMod:
                     shifted = times_x_mod(shifted, p)
                 product = product_mod(IntegerPolynomial(tuple(a)), IntegerPolynomial(tuple(b)), p)
                 assert product == IntegerPolynomial(tuple(expected))
+
+
+def power_product(factors) -> IntegerPolynomial:
+    """prod a^i over the pairs (a, i), multiplied out by hand."""
+    product = [1]
+    for a, i in factors:
+        for _ in range(i):
+            out = [0] * (len(product) + len(a.coefficients) - 1)
+            for j, x in enumerate(product):
+                for k, y in enumerate(a.coefficients):
+                    out[j + k] += x * y
+            product = out
+    return IntegerPolynomial(tuple(product))
+
+
+# pairwise coprime squarefree pieces: x - r for distinct integers r, and
+# x^2 + c for distinct c >= 1, whose roots are not real
+LINEAR = [IntegerPolynomial((-r, 1)) for r in range(-4, 5)]
+QUADRATIC = [IntegerPolynomial((c, 0, 1)) for c in range(1, 6)]
+
+
+class TestSquarefreeFactors:
+    def test_products_of_coprime_pieces_with_multiplicities(self):
+        rng = random.Random(107)
+        for _ in range(60):
+            pieces = rng.sample(LINEAR, rng.randint(0, 3)) + rng.sample(QUADRATIC, rng.randint(0, 2))
+            if not pieces:
+                continue
+            multiplicity = {piece: rng.randint(1, 4) for piece in pieces}
+            p = power_product(multiplicity.items())
+            # a_i is the product of the pieces of multiplicity i
+            expected = [
+                (power_product((piece, 1) for piece in pieces if multiplicity[piece] == i), i)
+                for i in sorted(set(multiplicity.values()))
+            ]
+            assert squarefree_factors(p) == expected
+
+    def test_products_of_random_monic_factors(self):
+        rng = random.Random(109)
+        for _ in range(60):
+            factors = [(random_monic(rng, rng.randint(1, 3)), rng.randint(1, 4)) for _ in range(3)]
+            p = power_product(factors)
+            split = squarefree_factors(p)
+            assert power_product(split) == p
+            assert [i for _, i in split] == sorted({i for _, i in split})
+            # squarefree and pairwise coprime: such a split of p is unique
+            for a, _ in split:
+                assert a.coefficients[-1] == 1 and len(a.coefficients) > 1
+                assert squarefree_factors(a) == [(a, 1)]
+            for (a, _), (b, _) in itertools.combinations(split, 2):
+                assert squarefree_factors(a * b) == [(a * b, 1)]
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 6))
+    def test_power_of_x(self, k):
+        x = IntegerPolynomial((0, 1))
+        assert squarefree_factors(power_product([(x, k)])) == [(x, k)]
+
+    @pytest.mark.parametrize("c", (-3, 0, 1, 2**70))
+    def test_degree_one(self, c):
+        p = IntegerPolynomial((c, 1))
+        assert squarefree_factors(p) == [(p, 1)]
+
+    def test_repeated_roots_mod_the_prime(self):
+        # x (x - P) and x^2 (x - P) reduce to x^2 and x^3 mod P = 2^61 - 1,
+        # so the modular test fails and the rational split decides
+        prime = linalg._SQUAREFREE_PRIME
+        x, shifted = IntegerPolynomial((0, 1)), IntegerPolynomial((-prime, 1))
+        p = power_product([(x, 1), (shifted, 1)])
+        assert squarefree_factors(p) == [(p, 1)]
+        assert squarefree_factors(power_product([(x, 2), (shifted, 1)])) == [(shifted, 1), (x, 2)]
+
+    def test_refuses_a_polynomial_that_is_not_monic(self):
+        for coefficients in ((0,), (1, 2), (3, 0, -1), (4, 4, 2)):
+            with pytest.raises(ValueError, match="monic"):
+                squarefree_factors(IntegerPolynomial(coefficients))
+
+    @pytest.mark.parametrize(
+        "p", ((2, -2, 1), (4, 0, -4, 0, 1)), ids=("squarefree", "repeated")
+    )
+    def test_perturbed_certificate_raises(self, monkeypatch, p):
+        product = IntegerPolynomial.__mul__
+
+        def perturbed(a, b):
+            c = product(a, b).coefficients
+            return IntegerPolynomial((c[0] + 1, *c[1:]))
+
+        monkeypatch.setattr(IntegerPolynomial, "__mul__", perturbed)
+        with pytest.raises(AssertionError, match="do not multiply back"):
+            squarefree_factors(IntegerPolynomial(p))
 
 
 class TestPowerBits:
