@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (
     IntegerMatrix,
     SmithDecomposition,
+    bareiss_pivots,
     binary_power,
     det,
     exact_fraction,
@@ -39,12 +40,10 @@ def reduce_mod_lattice(vector: Sequence) -> tuple[Fraction, ...]:
 
 
 def _leading_minors_positive(h: IntegerMatrix) -> bool:
-    """Sylvester test: all leading principal minors strictly positive."""
-    rows = h.to_lists()
-    return all(
-        det(IntegerMatrix.from_rows([row[:k] for row in rows[:k]])) > 0
-        for k in range(1, h.rows + 1)
-    )
+    """Sylvester test: all leading principal minors strictly positive.  They
+    are the Bareiss pivots if no row is exchanged; an exchange means one is 0."""
+    pivots, exchanges = bareiss_pivots(h)
+    return not exchanges and all(p > 0 for p in pivots)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,9 @@ class ComplexTorus:
     as a Fraction is, so equal structures compare equal.  Every check is
     an integer identity on the numerators: J J = -d^2 I, J^T S J = d^2 S,
     and J^T S symmetric with positive leading minors (the k-th differs
-    from the true one by the factor d^k > 0).
+    from the true one by the factor d^k > 0) read off one Bareiss
+    elimination.  From g = 6 on, * packs J J, J^T S and J^T S J whose left
+    factor's entries fit in 64 bits.
     """
 
     g: int

@@ -12,10 +12,10 @@ operations are that step run on the transposed block, with V held as
 V^T.  The Pfaffian uses fraction-free skew elimination.  Characteristic
 polynomials come from the power sums tr(m^k), formed by baby and giant
 steps from about 2 sqrt(n) matrix products, and Newton's identities,
-whose divisions are exact; power_sums runs them the other way.  From
-n = 12 on, a step whose left factor has entries of at most 64 bits packs
-each row of its right factor into one int (Kronecker substitution), so
-the product costs n^2 big-integer operations instead of n^3 small ones.
+whose divisions are exact; power_sums runs them the other way.  Every
+product whose left factor has at least 12 rows and entries of at most 64
+bits packs each row of its right factor into one int (Kronecker
+substitution), so it costs n^2 big-integer operations, not n^3 small ones.
 power_mod takes x^l mod a monic polynomial by binary powering with the
 schoolbook product_mod, squarefree_factors splits a monic polynomial by
 Yun's algorithm, and power_bits estimates the bits of a matrix power's
@@ -147,11 +147,8 @@ class IntegerMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns = (self.entries[j :: self.cols] for j in range(self.cols))
+        return IntegerMatrix(self.cols, self.rows, tuple(itertools.chain.from_iterable(columns)))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -176,9 +173,25 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def __mul__(self, other):
+        """Matrix product, or every entry times an int.
+
+        A left factor of at least _PACK_MIN_N = 12 rows with entries of at
+        most _PACK_MAX_BITS = 64 bits goes through the Kronecker-packed
+        _packed_product, n^2 big-integer operations in place of n^3
+        interpreted multiply-adds; otherwise each entry is a dot product.
+        Measured on seeded inputs (2-vCPU, Python 3.11), packing every
+        product of a [-99, 99] charpoly takes 1.18x the time of dot products
+        at n = 8, 1.04x at n = 11, 0.93x at n = 12, 0.70x at n = 16 and 0.45x
+        at n = 32.  Per product, with right entries twice as long as the left
+        ones, it takes 0.43-0.70x at n = 12 to 32 for 64-bit left entries,
+        0.78-1.07x for 256-bit and 1.2-2x for 500-bit ones, where the
+        big-integer arithmetic, not the interpreter, sets the cost.
+        """
         if isinstance(other, IntegerMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in multiplication")
+            if self.rows >= _PACK_MIN_N and max(map(abs, self.entries)) < 1 << _PACK_MAX_BITS:
+                return _packed_product(self, other)
             ocols = other.cols
             rows = [self.row(i) for i in range(self.rows)]
             columns = [other.entries[j::ocols] for j in range(ocols)]
@@ -191,6 +204,7 @@ class IntegerMatrix:
     def __pow__(self, exponent: int) -> "IntegerMatrix":
         if not self.is_square:
             raise NonSquareMatrixError("power needs a square matrix")
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("negative matrix powers are not integral in general")
         if exponent == 0:
@@ -204,9 +218,7 @@ class IntegerMatrix:
         return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
     def is_skew_symmetric(self) -> bool:
-        return self.is_square and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(self.cols)
-        )
+        return self.is_square and self == -self.transpose()
 
 
 @dataclass(frozen=True)
@@ -254,30 +266,41 @@ class SmithDecomposition:
         return nonzero[-1] if nonzero else 0
 
 
-def det(m: IntegerMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if not m.is_square:
-        raise NonSquareMatrixError("determinant needs a square matrix")
+def bareiss_pivots(m: IntegerMatrix) -> tuple[list[int], int]:
+    """Pivots of one fraction-free (Bareiss) elimination of the square m,
+    and its number of row exchanges.  A zero pivot is exchanged with the
+    first nonzero entry below it; with none, m is singular and the pivots
+    end with 0.  By Sylvester's identity the k-th pivot is the k-th leading
+    principal minor of the row-exchanged m, so each division by the
+    previous pivot is exact and the last pivot is its determinant."""
     n = m.rows
-    if n == 1:
-        return m[0, 0]
     a = m.to_lists()
-    sign = 1
+    pivots = []
+    exchanges = 0
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot_row is None:
-                return 0
+                pivots.append(0)
+                break
             a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
+            exchanges += 1
+        p = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                # Exact division: Bareiss guarantees divisibility by prev.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        pivots.append(p)
+        prev = p
+    return pivots, exchanges
+
+
+def det(m: IntegerMatrix) -> int:
+    """Exact determinant: (-1)^exchanges times the last pivot of bareiss_pivots."""
+    if not m.is_square:
+        raise NonSquareMatrixError("determinant needs a square matrix")
+    pivots, exchanges = bareiss_pivots(m)
+    return (-1) ** exchanges * pivots[-1]
 
 
 def _clear_first_column(lines: list[list[int]], trans: list[list[int]]) -> None:
@@ -402,8 +425,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-# charpoly packs a product from this size on, when the left factor's
-# entries have at most this many bits
+# * packs a product whose left factor has at least this many rows and
+# entries of at most this many bits
 _PACK_MIN_N = 12
 _PACK_MAX_BITS = 64
 
@@ -443,13 +466,6 @@ def _packed_product(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     )
 
 
-def _power_product(left: IntegerMatrix):
-    """The product charpoly forms left * X with, for powers X of left."""
-    if left.rows >= _PACK_MIN_N and max(map(abs, left.entries)).bit_length() <= _PACK_MAX_BITS:
-        return _packed_product
-    return operator.mul
-
-
 def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     """Characteristic polynomial det(xI - m), monic, computed over Z.
 
@@ -462,31 +478,19 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
     exact, so no rationals (let alone floats) appear.
 
     Each baby step is m * m^i and each giant step G * G^j (powers of one
-    matrix commute), so the left factor is always the small base.  A step
-    goes through the Kronecker-packed _packed_product, n^2 big-integer
-    operations in place of n^3 Python-level multiply-adds, when it is
-    bound by interpreter overhead: n >= _PACK_MIN_N = 12 and the base's
-    entries at most _PACK_MAX_BITS = 64 bits.  Otherwise it is the plain *.
-    Measured on seeded inputs (2-vCPU, Python 3.11), packing every step
-    of a [-99, 99] charpoly takes 1.18x the time of * at n = 8, 1.04x at
-    n = 11, 0.93x at n = 12, 0.70x at n = 16 and 0.45x at n = 32.  Per
-    product, with right entries twice as long as the left ones, packing
-    takes 0.43-0.70x at n = 12 to 32 for 64-bit left entries, 0.78-1.07x
-    for 256-bit and 1.2-2x for 500-bit ones: the big-integer arithmetic,
-    not the interpreter, then sets the cost.
+    matrix commute), so the left factor is always the small base, whose
+    entries decide whether * packs the product.
     """
     if not m.is_square:
         raise NonSquareMatrixError("characteristic polynomial needs a square matrix")
     n = m.rows
     s = math.isqrt(n - 1) + 1
-    baby_step = _power_product(m)
     powers = [m]
     while len(powers) < s:
-        powers.append(baby_step(m, powers[-1]))
+        powers.append(m * powers[-1])
     giant = powers.pop()
-    giant_step = _power_product(giant)
     # tr(X Y) pairs X[a][b] with Y[b][a]: hold the baby steps transposed
-    transposed = [tuple(x for j in range(n) for x in a.entries[j::n]) for a in powers]
+    transposed = [a.transpose().entries for a in powers]
     sums = [0] * (n + 1)
     for i, a in enumerate(powers, 1):
         sums[i] = a.trace()
@@ -498,7 +502,7 @@ def charpoly(m: IntegerMatrix) -> IntegerPolynomial:
         k += s
         if k > n:
             break
-        g = giant_step(giant, g)
+        g = giant * g
     return power_sum_polynomial(sums[1:])
 
 
@@ -551,18 +555,12 @@ def _multiply(a: Sequence, b: Sequence) -> list:
 def product_mod(
     a: IntegerPolynomial, b: IntegerPolynomial, p: IntegerPolynomial
 ) -> IntegerPolynomial:
-    """a * b mod the monic p: the schoolbook product, then each term
-    x^k, k >= N = deg p, folded down by x^N = -sum_(i<N) c_i x^i."""
-    *tail, lead = p.coefficients  # c_0, ..., c_(N-1) and c_N
-    if lead != 1:
+    """a * b mod the monic p: the schoolbook product, then its remainder
+    by p from _divmod_monic."""
+    if p.coefficients[-1] != 1:
         raise ValueError("reduction mod p needs a monic polynomial")
-    out = _multiply(a.coefficients, b.coefficients)
-    n = len(tail)
-    for k in range(len(out) - 1, n - 1, -1):
-        top = out.pop()
-        for i, c in enumerate(tail, k - n):
-            out[i] -= top * c
-    return IntegerPolynomial(tuple(out) or (0,))
+    _, remainder = _divmod_monic(_multiply(a.coefficients, b.coefficients), p.coefficients)
+    return IntegerPolynomial(tuple(remainder) or (0,))
 
 
 def power_mod(p: IntegerPolynomial, l: int) -> IntegerPolynomial:

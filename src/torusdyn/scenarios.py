@@ -349,7 +349,7 @@ def _cm_product(g: int) -> dict:
 
 
 def _diagonal(values: list[int]) -> list[list[int]]:
-    return IntegerMatrix.diagonal(values).to_lists()
+    return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
 
 
 def _multiplication(m: int, g: int) -> dict:

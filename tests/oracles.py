@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately naive: cofactor determinants, principal-minor sums, the
-Faddeev-LeVerrier characteristic polynomial, the Pfaffian by expansion
-along the first row, a per-point grid scan, a Fraction orbit partition,
-and elementary random matrix generators.  None
+Deliberately naive: schoolbook matrix products, cofactor determinants,
+the Sylvester test by one cofactor determinant per leading minor,
+principal-minor sums, the Faddeev-LeVerrier characteristic polynomial,
+the Pfaffian by expansion along the first row, a per-point grid scan, a
+Fraction orbit partition, and elementary random matrix generators.  None
 of these share code with the package paths they check.  The package
 imports nothing from here.
 """
@@ -14,6 +15,16 @@ import itertools
 import random
 
 from torusdyn import IntegerMatrix
+
+
+def product_schoolbook(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a b by the triple loop, one multiply-add per index triple."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            for j, y in enumerate(b[k]):
+                out[i][j] += x * y
+    return out
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -31,6 +42,13 @@ def det_cofactor(rows: list[list[int]]) -> int:
     return total
 
 
+def leading_minors_positive(rows: list[list[int]]) -> bool:
+    """Sylvester's criterion: every leading principal minor is > 0."""
+    return all(
+        det_cofactor([row[:k] for row in rows[:k]]) > 0 for k in range(1, len(rows) + 1)
+    )
+
+
 def principal_minor_trace(rows: list[list[int]], k: int) -> int:
     """tr(wedge^k m) = sum of the k x k principal minors."""
     n = len(rows)
@@ -46,18 +64,20 @@ def principal_minor_trace(rows: list[list[int]], k: int) -> int:
 def charpoly_faddeev(m: IntegerMatrix) -> tuple[int, ...]:
     """Coefficients of det(xI - m), ascending, by Faddeev-LeVerrier.
 
-    One matrix product per coefficient: with M_0 = I,
+    One schoolbook product per coefficient: with M_0 = I,
     c_(n-k) = -tr(m M_(k-1)) / k and M_k = m M_(k-1) + c_(n-k) I.
     """
     n = m.rows
+    rows = m.to_lists()
     coeffs = [0] * n + [1]
-    mk = IntegerMatrix.identity(n)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = m * mk
-        tr = am.trace()
+        mk = product_schoolbook(rows, mk)
+        tr = sum(mk[i][i] for i in range(n))
         assert tr % k == 0, "inexact division in Faddeev-LeVerrier"
         coeffs[n - k] = -tr // k
-        mk = am + IntegerMatrix.scalar(n, coeffs[n - k])
+        for i in range(n):
+            mk[i][i] += coeffs[n - k]
     return tuple(coeffs)
 
 

@@ -28,11 +28,16 @@ from torusdyn import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from torusdyn import fixpoint, quotient
+from torusdyn import fixpoint, lattice, quotient
 from torusdyn.intersection import standard_symplectic_form
 from torusdyn.lattice import collector_paused
 
-from oracles import random_matrix, random_nonsingular, random_unimodular
+from oracles import (
+    leading_minors_positive,
+    random_matrix,
+    random_nonsingular,
+    random_unimodular,
+)
 
 J0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
 S0 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
@@ -63,6 +68,68 @@ def random_cm_structure(rng: random.Random, g: int) -> tuple[IntegerMatrix, Inte
     sign = 1 if d > 0 else -1
     numerators = p * base.complex_structure * adj * sign
     return numerators, adj.transpose() * base.riemann_form * adj, abs(d)
+
+
+def symmetric_cases():
+    """Seeded symmetric matrices for the Sylvester test, n = 1..8, labelled
+    by kind; the kind fixes whether the matrix is positive definite."""
+    rng = random.Random(1852)
+    for n in range(1, 9):
+        identity = IntegerMatrix.identity(n)
+        for seed in range(3):
+            b = random_matrix(rng, n, -4, 4)
+            bt = b.transpose()
+            yield f"B^T B + I n={n} #{seed}", (bt * b + identity, True)
+            yield f"-(B^T B + I) n={n} #{seed}", (-(bt * b + identity), False)
+            # a zero row makes B^T B singular and positive semidefinite
+            z = IntegerMatrix.from_rows(b.to_lists()[:-1] + [[0] * n])
+            yield f"singular B^T B n={n} #{seed}", (z.transpose() * z, False)
+            # inertia (n - 1, 1): one negative square
+            p = random_nonsingular(rng, n)
+            d = IntegerMatrix.diagonal([1] * (n - 1) + [-1])
+            yield f"indefinite n={n} #{seed}", (p.transpose() * d * p, False)
+            a = random_matrix(rng, n, -2, 2)
+            yield f"random A + A^T n={n} #{seed}", (a + a.transpose(), None)
+    # a zero leading minor followed by nonzero ones
+    for rows in (
+        [[0, 1], [1, 0]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    ):
+        yield f"zero leading minor {rows}", (IntegerMatrix.from_rows(rows), False)
+
+
+SYMMETRIC_CASES = dict(symmetric_cases())
+
+
+class TestSylvester:
+    @pytest.mark.parametrize("label", list(SYMMETRIC_CASES))
+    def test_matches_per_minor_oracle(self, label):
+        h, definite = SYMMETRIC_CASES[label]
+        expected = leading_minors_positive(h.to_lists())
+        if definite is not None:
+            assert expected == definite
+        assert lattice._leading_minors_positive(h) == expected
+
+    def test_one_elimination_for_the_large_torus(self, monkeypatch):
+        torus = resolve_scenario("mult-by-2-g16").torus
+        eliminations, det_sizes = [], []
+        original_pivots, original_det = lattice.bareiss_pivots, lattice.det
+
+        def counted_pivots(m):
+            eliminations.append(m.rows)
+            return original_pivots(m)
+
+        def counted_det(m):
+            det_sizes.append(m.rows)
+            return original_det(m)
+
+        monkeypatch.setattr(lattice, "bareiss_pivots", counted_pivots)
+        monkeypatch.setattr(lattice, "det", counted_det)
+        ComplexTorus(16, torus.complex_structure, torus.riemann_form)
+        # one elimination of J^T S; det only for S's nondegeneracy
+        assert eliminations == [32]
+        assert det_sizes == [32]
 
 
 class TestComplexTorus:

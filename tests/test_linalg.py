@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 
@@ -32,6 +31,7 @@ from oracles import (
     det_cofactor,
     pfaffian_expansion,
     principal_minor_trace,
+    product_schoolbook,
     random_matrix,
     random_skew,
     random_unimodular,
@@ -50,8 +50,8 @@ SUMDIFF = IntegerMatrix.from_rows(
 def count_products(monkeypatch) -> Counter:
     """Count IntegerMatrix-by-IntegerMatrix products from now on.
 
-    "products" counts both kinds: * and the Kronecker-packed products
-    charpoly forms, which "packed" counts alone.
+    "products" counts every product * forms, once; "packed" counts those
+    that * hands to the Kronecker-packed _packed_product.
     """
     calls = Counter()
     original = IntegerMatrix.__mul__
@@ -63,7 +63,6 @@ def count_products(monkeypatch) -> Counter:
         return original(self, other)
 
     def counted_packed(a, b):
-        calls["products"] += 1
         calls["packed"] += 1
         return original_packed(a, b)
 
@@ -195,6 +194,22 @@ class TestDeterminant:
     def test_singular(self):
         m = IntegerMatrix.from_rows([[1, 2], [2, 4]])
         assert det(m) == 0
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[5]], 5),
+            ([[0]], 0),
+            ([[0, 1], [1, 0]], -1),
+            # a 3-cycle: two row exchanges
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+            ([[0, 0, 2], [0, 3, 0], [7, 0, 0]], -42),
+            ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+        ],
+    )
+    def test_row_exchanges(self, rows, expected):
+        assert det_cofactor(rows) == expected
+        assert det(IntegerMatrix.from_rows(rows)) == expected
 
 
 class TestSmithNormalForm:
@@ -346,14 +361,6 @@ class TestCharpoly:
         assert (calls["packed"], calls["products"]) == (3, 6)
         assert coefficients == charpoly_faddeev(m)
 
-    @pytest.mark.parametrize("bits, packs", [(64, True), (65, False)])
-    def test_packing_bit_bound(self, bits, packs):
-        n = linalg._PACK_MIN_N
-        m = IntegerMatrix.scalar(n, -(2**bits - 1))
-        assert max(abs(x) for x in m.entries).bit_length() == bits
-        expected = linalg._packed_product if packs else operator.mul
-        assert linalg._power_product(m) is expected
-
 
 def packed_product_cases():
     """Pairs (a, b) for _packed_product, labelled by kind."""
@@ -368,6 +375,14 @@ def packed_product_cases():
     a = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(7)] for _ in range(3)])
     b = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(7)])
     yield "rectangular 3x7 by 7x4", (a, b)
+    # * packs both of these: at least _PACK_MIN_N rows, at most 64 bits on the left
+    a = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(5)] for _ in range(13)])
+    b = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(9)] for _ in range(5)])
+    yield "rectangular 13x5 by 5x9", (a, b)
+    yield "64-bit left by 2000-bit right", (
+        random_matrix(rng, 12, -(2**64) + 1, 2**64 - 1),
+        random_matrix(rng, 12, -(2**2000), 2**2000),
+    )
     big = random_matrix(rng, 6, -(2**90), 2**90)
     yield "zero left", (IntegerMatrix.zero(6, 6), big)
     yield "zero right", (big, IntegerMatrix.zero(6, 6))
@@ -385,7 +400,9 @@ class TestPackedProduct:
     @pytest.mark.parametrize("label", list(PACKED_PRODUCT_CASES))
     def test_equals_plain_product(self, label):
         a, b = PACKED_PRODUCT_CASES[label]
-        assert linalg._packed_product(a, b) == a * b
+        expected = product_schoolbook(a.to_lists(), b.to_lists())
+        assert linalg._packed_product(a, b).to_lists() == expected
+        assert (a * b).to_lists() == expected
 
     def test_slots_reach_their_bound(self):
         # every entry of the product is n max|a| max|b| in size, of either
@@ -398,7 +415,24 @@ class TestPackedProduct:
                     [[top if (i + j) % 2 else -top for j in range(n)] for i in range(n)]
                 )
                 for a, b in ((plus, plus), (plus, -plus), (-plus, plus), (signs, plus)):
-                    assert linalg._packed_product(a, b) == a * b
+                    expected = product_schoolbook(a.to_lists(), b.to_lists())
+                    assert linalg._packed_product(a, b).to_lists() == expected
+
+    @pytest.mark.parametrize(
+        "n, bits, packs",
+        [
+            (linalg._PACK_MIN_N, linalg._PACK_MAX_BITS, True),
+            (linalg._PACK_MIN_N, linalg._PACK_MAX_BITS + 1, False),
+            (linalg._PACK_MIN_N - 1, linalg._PACK_MAX_BITS, False),
+        ],
+    )
+    def test_packing_bit_bound(self, monkeypatch, n, bits, packs):
+        m = IntegerMatrix.scalar(n, -(2**bits - 1))
+        assert max(abs(x) for x in m.entries).bit_length() == bits
+        calls = count_products(monkeypatch)
+        square = m * m
+        assert (calls["products"], calls["packed"]) == (1, int(packs))
+        assert square.to_lists() == product_schoolbook(m.to_lists(), m.to_lists())
 
 
 class TestPowerSums:
@@ -731,6 +765,11 @@ class TestPolynomialAndMatrixBasics:
         m**e
         assert calls["products"] == e.bit_length() + e.bit_count() - 2
 
+    @pytest.mark.parametrize("e", (2.0, 2.5, "3"))
+    def test_matrix_power_exponent_must_be_an_integer(self, e):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            IntegerMatrix.identity(2) ** e
+
     def test_inexact_entries_refused(self):
         # int() would truncate 1.7 to 1
         with pytest.raises(ValueError, match="integers"):
@@ -745,3 +784,14 @@ class TestPolynomialAndMatrixBasics:
         assert c.rows == c.cols == 3
         assert c[2, 2] == 5
         assert c[0, 2] == 0
+
+    def test_transpose_and_skew_symmetry(self):
+        wide = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert wide.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
+        assert wide.transpose().transpose() == wide
+        assert not IntegerMatrix.zero(2, 3).is_skew_symmetric()
+        assert IntegerMatrix.zero(1, 1).is_skew_symmetric()
+        assert not IntegerMatrix.identity(1).is_skew_symmetric()
+        assert random_skew(random.Random(5), 6).is_skew_symmetric()
+        # skew but for one diagonal entry
+        assert not IntegerMatrix.from_rows([[0, 1], [-1, 1]]).is_skew_symmetric()
