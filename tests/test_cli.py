@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import shlex
@@ -106,6 +107,23 @@ class TestEnumerate:
             (str(i), *map(str, p.coordinates)) for i, p in enumerate(points)
         )
         assert parse_csv(out)[1] == want
+
+    @pytest.mark.parametrize(
+        "fmt, lines, digest",
+        [
+            ("csv", 50_626, "85b87c37ba8b8cef2731ba267105df3479b2dbdd0f136136a81a8224a3bd892e"),
+            ("table", 50_629, "7dbc0452a5f78c7b5f8663503b7f73ecc41d6e83083a6852a56b00e81b0fa45f"),
+        ],
+    )
+    def test_large_listing_is_pinned(self, capsys, fmt, lines, digest):
+        # [2]^4 - I = 15 I on E x E: 15^4 = 50,625 rows, each byte pinned
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--scenario", "diagonal-subvariety", "--l", "4",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGrowth:
