@@ -108,12 +108,12 @@ def _run_count(scenario: Scenario, opts: Options):
 
 
 def _run_enumerate(scenario: Scenario, opts: Options):
-    # rendered from the numerators, one cell string per distinct residue
-    common, points = fixpoint.fixed_grid(scenario.endomorphism, opts.l, opts.budget)
-    cells = {v: str(r) for v, r in grid_residues(common, points).items()}
+    # rendered from the numerator columns, one cell string per distinct residue
+    common, columns = fixpoint.fixed_columns(scenario.endomorphism, opts.l, opts.budget)
+    cells = {v: str(r) for v, r in grid_residues(common, columns).items()}
     headers = ("index",) + tuple(f"x{i + 1}" for i in range(scenario.torus.rank))
     return headers, tuple(
-        (str(i), *map(cells.__getitem__, p)) for i, p in enumerate(points)
+        zip(map(str, range(len(columns[0]))), *[map(cells.__getitem__, c) for c in columns])
     )
 
 

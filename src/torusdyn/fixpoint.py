@@ -2,7 +2,8 @@
 
 Ground truth is the determinant count |det(M^l - I)|, valid because
 nondegenerate fixed points are simple; an enumeration path (Smith form
-congruence solving) and a brute-force grid scan provide two independent
+congruence solving, then a sorted walk over an echelon basis of the
+solution lattice) and a brute-force grid scan provide two independent
 cross-checks.  Table rows and large single counts split over the
 squarefree factors of charpoly(M) = prod_i a_i^i, as
 det(M^l - I) = prod_i D_l(a_i)^i with D_l(a) the product of
@@ -46,6 +47,7 @@ from .linalg import (
     binary_power,
     charpoly,
     det,
+    echelon_basis,
     power_bits,
     power_mod,
     power_sum_polynomial,
@@ -306,29 +308,74 @@ def iterate_determinants(
         yield l, d
 
 
-def fixed_grid(
+def _echelon_walk(
+    start: Sequence[int], basis: Sequence[Sequence[int]], modulus: int
+) -> list[list[int]]:
+    """The coset start + span(basis) mod modulus as sorted numerator columns.
+
+    basis is upper triangular with pivots h_i | modulus (linalg.echelon_basis).
+    Level i fixes coordinate i: each node o is normalized to
+    o - (o_i // h_i) b_i mod modulus, so that o_i < h_i, and then has the
+    modulus / h_i children o + j b_i, whose coordinate i rises with j.
+    Every column is a list over the nodes of the level, and each step is
+    map and itertools over whole columns.
+    """
+    n = len(start)
+    columns = [[s % modulus] for s in start]
+    for i, b in enumerate(basis):
+        h = b[i]
+        if h == modulus:
+            continue
+        m = modulus // h
+        quotients = list(map(operator.floordiv, columns[i], itertools.repeat(h)))
+        columns[i] = list(map(h.__rmod__, columns[i]))
+        for r in range(i + 1, n):
+            if b[r]:
+                shifts = map(b[r].__mul__, quotients)
+                columns[r] = list(map(modulus.__rmod__, map(operator.sub, columns[r], shifts)))
+        for r, step in enumerate(b):
+            if not step:
+                children = map(itertools.repeat, columns[r], itertools.repeat(m))
+            else:
+                ends = map(operator.add, columns[r], itertools.repeat(m * step))
+                ranges = map(range, columns[r], ends, itertools.repeat(step))
+                # coordinate i stays below modulus; the others wrap
+                wrap = itertools.repeat(modulus.__rmod__)
+                children = ranges if r == i else map(map, wrap, ranges)
+            columns[r] = list(itertools.chain.from_iterable(children))
+    return columns
+
+
+def fixed_columns(
     f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Fix(f^l) as integer numerators over one shared denominator N.
+) -> tuple[int, list[list[int]]]:
+    """Fix(f^l) as integer numerators over one shared denominator N, by column.
 
-    Returns (N, points) with each point a tuple a in [0, N)^n standing for
-    a / N in (1/N)Z^n / Z^n, sorted.  Solves (M^l - I) x = -t_l with
-    solve_mod_lattice: with U K V = D and b = U(-t_l) the solutions are
-    x = V y, where y_i runs over the d_i translates of b_i / d_i, so N is
-    the lcm of d_i times the denominator of b_i.  M^l and t_l come from
-    one call to power.
+    Returns (N, columns): the points are a / N in (1/N)Z^n / Z^n for the
+    tuples a = zip(*columns) in [0, N)^n, in lexicographic order, and
+    columns[r] lists coordinate r of every point.  M^l and t_l come from
+    one call to power, and solve_mod_lattice solves (M^l - I) x = -t_l:
+    with U K V = D and b = U(-t_l), N is the lcm of d_i times the
+    denominator of b_i, one solution is a_0 = sum_i base_i V[:, i] with
+    base_i = b_i N / d_i, and the others differ from it by the lattice
+    L = {a : K a = 0 mod N}, spanned by (N / d_i) V[:, i] and N Z^n.
 
-    The set is built as one list of numerators per coordinate: Smith axis
-    i extends coordinate list r by the offsets (base + j step) V[r, i]
-    mod N, j < d_i, so no tuple is made until the lists are zipped into
-    points at the end; that zip and its sort run with the cyclic
-    collector paused (lattice.collector_paused).
+    linalg.echelon_basis turns those generators into an upper-triangular
+    basis b_0..b_(n-1) of L with pivots h_i | N, and _echelon_walk runs
+    over it: level i fixes coordinate i.  Each node o is first
+    normalized, o - (o_i // h_i) b_i mod N, so that o_i < h_i, and then
+    has the N / h_i children o + j b_i; their coordinate i, o_i + j h_i,
+    rises with j, so every column comes out sorted and no point is
+    sorted or made a tuple.  A level with h_i = N has one child per node
+    and is skipped.  Each level is a few passes of map and itertools over
+    its nodes, so no interpreted loop runs per point.
 
     The point count |det(M^l - I)| is known before any point is built:
     past the budget the call raises BudgetExceededError right after that
-    determinant, before the Smith form and the grid walk.  The walk must
-    produce exactly that many points (the Smith divisors multiply to the
-    Bareiss determinant); anything else raises AssertionError.
+    determinant, before the Smith form and the walk.  The basis must have
+    prod N / h_i equal to that count before the walk starts, and the walk
+    must produce exactly that many points (the Smith divisors multiply
+    to the Bareiss determinant); anything else raises AssertionError.
     """
     n = f.rank
     f_l = power(f, l)
@@ -341,26 +388,37 @@ def fixed_grid(
     # K is nondegenerate, so no row of D is zero and a solution exists
     snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
     divisors = snf.elementary_divisors
-    common = 1
-    for d, b in zip(divisors, rhs):
-        common = math.lcm(common, d * b.denominator)
-    # every solution is a sum over axes i of one vector y_i * V[:, i]
-    columns: list[list[int]] = [[0] for _ in range(n)]
-    for i, (d, b) in enumerate(zip(divisors, rhs)):
+    common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
+    axes = snf.V.transpose().to_lists()
+    start = [0] * n
+    for d, b, axis in zip(divisors, rhs, axes):
         base = int(b * common / d)
-        step = common // d
-        multiples = [(base + j * step) % common for j in range(d)]
-        for r in range(n):
-            v = snf.V[r, i]
-            offsets = [m * v % common for m in multiples]
-            columns[r] = [(p + o) % common for p in columns[r] for o in offsets]
+        start = [s + base * v for s, v in zip(start, axis)]
+    basis = echelon_basis(
+        [[common // d * v for v in axis] for d, axis in zip(divisors, axes)], common
+    )
+    index = math.prod(common // b[i] for i, b in enumerate(basis))
+    if index != count:
+        raise AssertionError(f"echelon basis of index {index} but |det(M^{l} - I)| = {count}")
+    columns = _echelon_walk(start, basis, common)
     if len(columns[0]) != count:
         raise AssertionError(
             f"{len(columns[0])} grid points but |det(M^{l} - I)| = {count}"
         )
+    return common, columns
+
+
+def fixed_grid(
+    f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Fix(f^l) as (N, points): each point a tuple a in [0, N)^n standing
+    for a / N, sorted.  The tuples are fixed_columns' columns zipped, with
+    the cyclic collector paused (lattice.collector_paused); its budget
+    refusal and its checks apply as they are.
+    """
+    common, columns = fixed_columns(f, l, budget)
     with collector_paused():
-        points = sorted(zip(*columns))
-    return common, points
+        return common, list(zip(*columns))
 
 
 def enumerate_fixed(
@@ -368,13 +426,14 @@ def enumerate_fixed(
 ) -> list[TorsionPoint]:
     """All fixed points of f^l, as canonical torsion points, sorted.
 
-    The points come from fixed_grid as integer numerators over a shared
-    denominator N; they become TorsionPoints only here, through
-    TorsionPoint.from_grid, which checks each distinct numerator once and
-    makes one Fraction for it.  More than budget points are refused with
-    BudgetExceededError before any is built, as in fixed_grid.
+    The points come from fixed_columns as sorted columns of integer
+    numerators over a shared denominator N; they become TorsionPoints only
+    here, through TorsionPoint.from_grid, which checks each distinct
+    numerator once, makes one Fraction for it and builds the points column
+    by column.  More than budget points are refused with
+    BudgetExceededError before any is built, as in fixed_columns.
     """
-    return TorsionPoint.from_grid(*fixed_grid(f, l, budget))
+    return TorsionPoint.from_grid(*fixed_columns(f, l, budget))
 
 
 def brute_force_count(
@@ -393,6 +452,8 @@ def brute_force_count(
     list of residues per row of K, and each prefix zipped from those lists
     is matched against a Counter of the residues -K[:, n-1] a_{n-1} of the
     last coordinate, so every one of the G^n grid points is accounted for.
+    The match is dict.get with a default of 0, so a prefix that no last
+    coordinate completes costs no call to Counter.__missing__.
     Refuses (never truncates) past the budget.
     """
     f_l = power(f, l)
@@ -416,7 +477,7 @@ def brute_force_count(
     last = Counter(
         tuple(-k[i, n - 1] * a % grid for i in range(n)) for a in range(grid)
     )
-    return sum(map(last.__getitem__, zip(*sums)))
+    return sum(map(last.get, zip(*sums), itertools.repeat(0)))
 
 
 def growth_table(

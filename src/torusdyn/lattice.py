@@ -11,6 +11,7 @@ unimodular.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import gc
 import itertools
@@ -56,8 +57,11 @@ class ComplexTorus:
     an integer identity on the numerators: J J = -d^2 I, J^T S J = d^2 S,
     and J^T S symmetric with positive leading minors (the k-th differs
     from the true one by the factor d^k > 0) read off one Bareiss
-    elimination.  From g = 6 on, * packs J J, J^T S and J^T S J whose left
-    factor's entries fit in 64 bits.
+    elimination.  Those minors certify det(J^T S) > 0, hence det S != 0,
+    so S's own determinant is taken only without J or when a J check
+    fails, and its refusal ("nondegenerate") still comes first.  From
+    g = 6 on, * packs J J, J^T S and J^T S J whose left factor's entries
+    fit in 64 bits.
     """
 
     g: int
@@ -90,21 +94,27 @@ class ComplexTorus:
             object.__setattr__(self, "complex_denominator", d)
             if J * J != IntegerMatrix.scalar(n, -d * d):
                 raise ValueError("complex structure must square to -I")
-        if S is not None:
-            if (S.rows, S.cols) != (n, n):
-                raise ValueError(f"Riemann form must be {n}x{n}")
-            if not S.is_skew_symmetric():
-                raise ValueError("Riemann form must be alternating (S^T = -S)")
-            if det(S) == 0:
-                raise ValueError("Riemann form must be nondegenerate")
-        if J is not None and S is not None:
+        if S is None:
+            return
+        if (S.rows, S.cols) != (n, n):
+            raise ValueError(f"Riemann form must be {n}x{n}")
+        if not S.is_skew_symmetric():
+            raise ValueError("Riemann form must be alternating (S^T = -S)")
+        failure = None
+        if J is not None:
             H = J.transpose() * S
             if H * J != S * (d * d):
-                raise ValueError("Riemann form not J-invariant (J^T S J != S)")
-            if H != H.transpose():
-                raise ValueError("J^T S must be symmetric")
-            if not _leading_minors_positive(H):
-                raise ValueError("J^T S must be positive definite")
+                failure = "Riemann form not J-invariant (J^T S J != S)"
+            elif H != H.transpose():
+                failure = "J^T S must be symmetric"
+            elif not _leading_minors_positive(H):
+                failure = "J^T S must be positive definite"
+        # a passing Sylvester test certifies det(J^T S) > 0, so det S != 0;
+        # otherwise S's own refusal comes first
+        if (J is None or failure) and det(S) == 0:
+            raise ValueError("Riemann form must be nondegenerate")
+        if failure:
+            raise ValueError(failure)
 
     @property
     def rank(self) -> int:
@@ -138,7 +148,8 @@ def collector_paused() -> Iterator[None]:
 def grid_residues(
     denominator: int, numerators: Iterable[Sequence[int]]
 ) -> dict[int, Fraction]:
-    """v -> Fraction(v, denominator) for each distinct numerator v of the points.
+    """v -> Fraction(v, denominator) for each distinct v in the numerator
+    sequences, the columns of a point set or its points.
 
     Each distinct numerator is checked once for 0 <= v < denominator; one
     outside that range is refused with ValueError, as TorsionPoint
@@ -176,24 +187,27 @@ class TorsionPoint:
 
     @classmethod
     def from_grid(
-        cls, denominator: int, numerators: Sequence[Sequence[int]]
+        cls, denominator: int, columns: Sequence[Sequence[int]]
     ) -> "list[TorsionPoint]":
-        """The points a / denominator for the integer tuples a, in order.
+        """The points a / denominator for a in zip(*columns), in order.
 
+        columns[r] lists coordinate r of every point, as fixpoint.fixed_columns
+        returns them; columns of unequal length raise ValueError.
         grid_residues checks each distinct numerator once and makes one
-        Fraction for it, shared by every point that has it; the points
-        are then built without re-validating each coordinate, since every
-        coordinate is one of those checked residues.  The point loop runs
-        with the cyclic collector paused (collector_paused).
+        Fraction for it, shared by every point that has it; each column is
+        mapped to its Fractions, the mapped columns are zipped into
+        coordinate tuples, and the points are made by object.__new__ and
+        filled through the coordinates slot, both by map, without
+        re-validating a coordinate, since each is one of those checked
+        residues.  All of it runs with the cyclic collector paused
+        (collector_paused).
         """
-        lookup = grid_residues(denominator, numerators).__getitem__
-        new, assign = object.__new__, object.__setattr__
-        points = []
+        lookup = grid_residues(denominator, columns).__getitem__
         with collector_paused():
-            for a in numerators:
-                point = new(cls)
-                assign(point, "coordinates", tuple(map(lookup, a)))
-                points.append(point)
+            coordinates = list(zip(*[map(lookup, c) for c in columns], strict=True))
+            points = list(map(object.__new__, itertools.repeat(cls, len(coordinates))))
+            # the slot's own setter: what object.__setattr__ reaches, minus the lookup
+            collections.deque(map(cls.coordinates.__set__, points, coordinates), maxlen=0)
         return points
 
     def __len__(self) -> int:

@@ -288,8 +288,10 @@ def bareiss_pivots(m: IntegerMatrix) -> tuple[list[int], int]:
             exchanges += 1
         p = a[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+            # with a[i][k] = 0 and p = prev the update leaves row i as it is
+            if a[i][k] or p != prev:
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
         pivots.append(p)
         prev = p
     return pivots, exchanges
@@ -328,6 +330,32 @@ def _clear_first_column(lines: list[list[int]], trans: list[list[int]]) -> None:
             r0, ri = rows[0], rows[i]
             rows[0] = [x * u + y * v for u, v in zip(r0, ri)]
             rows[i] = [-q * u + p * v for u, v in zip(r0, ri)]
+
+
+def echelon_basis(generators: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """Upper-triangular basis b_0..b_(n-1) of L = span(generators) + modulus Z^n.
+
+    The Hermite form modulo D (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.2).  Column c is cleared by the Smith form's row
+    step _clear_first_column with the row modulus e_c first: it lies in L
+    and keeps the pivot h_c > 0, the gcd of column c over the rows carried
+    so far and modulus, so h_c divides modulus.  The pivot row becomes b_c;
+    the other rows go on to column c + 1 reduced mod modulus, which L
+    contains, and zero rows are dropped.  b_c..b_(n-1) span the vectors of
+    L that vanish before column c, so [L : modulus Z^n] = prod modulus / h_c.
+    Every entry off the diagonal is reduced to [0, modulus).
+    """
+    n = len(generators[0])
+    rows = [[v % modulus for v in g] for g in generators]
+    basis = []
+    for c in range(n):
+        lines = [[modulus] + [0] * (n - c - 1), *filter(any, rows)]
+        # no transform is kept: each transform row is empty
+        _clear_first_column(lines, [[]] * len(lines))
+        pivot, *rest = lines[0]
+        basis.append([0] * c + [pivot] + [v % modulus for v in rest])
+        rows = [[v % modulus for v in line[1:]] for line in lines[1:]]
+    return basis
 
 
 def _transpose(rows: list[list[int]]) -> list[list[int]]:

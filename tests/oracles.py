@@ -3,8 +3,9 @@
 Deliberately naive: schoolbook matrix products, cofactor determinants,
 the Sylvester test by one cofactor determinant per leading minor,
 principal-minor sums, the Faddeev-LeVerrier characteristic polynomial,
-the Pfaffian by expansion along the first row, a per-point grid scan, a
-Fraction orbit partition, and elementary random matrix generators.  None
+the Pfaffian by expansion along the first row, a per-point grid scan, the
+fixed set walked over the Smith axes and sorted, a Fraction orbit
+partition, and elementary random matrix generators.  None
 of these share code with the package paths they check.  The package
 imports nothing from here.
 """
@@ -170,6 +171,38 @@ def brute_force_scan(f, l: int = 1, budget: int = 10**6) -> int:
         else:
             count += 1
     return count
+
+
+def fixed_grid_smith_walk(f, l: int = 1) -> tuple[int, list[tuple[int, ...]]]:
+    """Fix(f^l) as (N, sorted numerator tuples), by a walk over the Smith axes.
+
+    With U K V = D for K = M^l - I and b = U(-t_l), every fixed point is
+    a = sum_i (base_i + j_i N / d_i) V[:, i] mod N, j_i < d_i, where
+    base_i = b_i N / d_i and N is the lcm of d_i times the denominator of
+    b_i.  Axis by axis, each coordinate list is extended by every multiple;
+    the lists are zipped into tuples and sorted at the end.  Assumes
+    det(M^l - I) != 0 and takes no budget.
+    """
+    # imported here, as in brute_force_scan
+    import math
+
+    from torusdyn import power, solve_mod_lattice
+
+    n = f.rank
+    f_l = power(f, l)
+    k = f_l.matrix - IntegerMatrix.identity(n)
+    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
+    divisors = snf.elementary_divisors
+    common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
+    columns: list[list[int]] = [[0] for _ in range(n)]
+    for i, (d, b) in enumerate(zip(divisors, rhs)):
+        base = int(b * common / d)
+        step = common // d
+        multiples = [(base + j * step) % common for j in range(d)]
+        for r in range(n):
+            offsets = [m * snf.V[r, i] % common for m in multiples]
+            columns[r] = [(p + o) % common for p in columns[r] for o in offsets]
+    return common, sorted(zip(*columns))
 
 
 def orbit_partition_fractions(points, action) -> list:

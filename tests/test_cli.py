@@ -217,7 +217,7 @@ class TestQuotient:
         def refuse(*args):
             raise AssertionError("the quotient path must not enumerate")
 
-        monkeypatch.setattr(fixpoint, "fixed_grid", refuse)
+        monkeypatch.setattr(fixpoint, "fixed_columns", refuse)
         monkeypatch.setattr(quotient_mod, "_grid_classes", refuse)
         code, out, err = run_cli(
             capsys, "quotient", "--scenario", "bielliptic-quotient", "--lmax", "4"

@@ -355,8 +355,11 @@ class TestEnumerateFixed:
         assert len(enumerate_fixed(mult(3), 2, budget=64)) == 64
 
     def test_grid_checked_against_determinant(self, monkeypatch):
+        # the echelon basis's index is checked before any point is walked
         monkeypatch.setattr(fixpoint, "det", lambda k: 2 * det(k))
-        with pytest.raises(AssertionError, match="grid points"):
+        with pytest.raises(
+            AssertionError, match=re.escape("echelon basis of index 4 but |det(M^1 - I)| = 8")
+        ):
             fixpoint.fixed_grid(mult(3), 1)
 
 

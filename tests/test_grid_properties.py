@@ -4,7 +4,10 @@ Maps are M = I + R diag(d) R' with R, R' random unimodular, so that
 det(M - I) = +-prod(d) is known by construction, plus a translation of a
 random denominator.  Enumeration, the determinant count, the brute-force
 grid scan and the per-point scan of tests/oracles.py must agree, and the
-orbit classes must match the Fraction oracle.  The exterior-power
+orbit classes must match the Fraction oracle.  The sorted echelon walk
+behind fixed_grid and enumerate_fixed must give exactly the points of
+the Smith-axis walk of tests/oracles.py, on those maps, on product
+groups (V = I) and on cyclic groups over a large denominator.  The exterior-power
 recurrences behind the growth and compare tables must match det(M**l - I)
 row by row, past the rows their Bareiss check covers, also
 on maps with a finite-order block, whose iterates are degenerate
@@ -45,13 +48,17 @@ from torusdyn import (
     orbit_partition,
     quotient_fixed_lower_bound,
     resolve_scenario,
+    smith_normal_form,
     solve_mod_lattice,
     validate_action,
 )
 from torusdyn import fixpoint
+from torusdyn.linalg import echelon_basis
+from torusdyn.scenarios import BUILTINS
 
 from oracles import (
     brute_force_scan,
+    fixed_grid_smith_walk,
     orbit_partition_fractions,
     random_matrix,
     random_unimodular,
@@ -382,6 +389,110 @@ def test_enumerated_points_are_fixed_and_distinct(f):
         image = f.matrix.apply(p.coordinates)
         for x, y, t in zip(p.coordinates, image, f.translation):
             assert (y + t - x).denominator == 1
+
+
+@st.composite
+def product_group_maps(draw) -> LatticeEndomorphism:
+    """M = I + diag(d_1, d_1 d_2, ...): K = M - I is its own Smith form, so
+    V = I and Fix(f) is a product of cyclic groups, moved by a translation."""
+    rank = draw(st.sampled_from([2, 4]))
+    factors = draw(st.lists(st.integers(1, {2: 6, 4: 2}[rank]), min_size=rank, max_size=rank))
+    k = IntegerMatrix.diagonal(list(itertools.accumulate(factors, operator.mul)))
+    denominator = draw(st.integers(1, 4))
+    translation = draw(st.lists(st.integers(0, denominator - 1), min_size=rank, max_size=rank))
+    return LatticeEndomorphism(
+        IntegerMatrix.identity(rank) + k,
+        tuple(Fraction(a, denominator) for a in translation),
+    )
+
+
+@st.composite
+def cyclic_group_maps(draw) -> LatticeEndomorphism:
+    """M = I + R diag(1, ..., 1, d) R': Fix(f) is cyclic of order |d|, and a
+    translation of denominator up to 5000 puts it over an N up to |d| 5000."""
+    rank = draw(st.sampled_from([2, 4, 6]))
+    rng = random.Random(draw(seeds))
+    d = draw(st.integers(1, 200)) * draw(st.sampled_from([1, -1]))
+    k = (
+        random_unimodular(rng, rank)
+        * IntegerMatrix.diagonal([1] * (rank - 1) + [d])
+        * random_unimodular(rng, rank)
+    )
+    denominator = draw(st.integers(1, 5000))
+    translation = draw(st.lists(st.integers(0, denominator - 1), min_size=rank, max_size=rank))
+    return LatticeEndomorphism(
+        IntegerMatrix.identity(rank) + k,
+        tuple(Fraction(a, denominator) for a in translation),
+    )
+
+
+def assert_walk_matches_oracle(f: LatticeEndomorphism, l: int = 1) -> int:
+    """fixed_grid and enumerate_fixed against the Smith-axis walk; returns N."""
+    common, grid = fixed_grid_smith_walk(f, l)
+    assert fixpoint.fixed_grid(f, l) == (common, grid)
+    assert enumerate_fixed(f, l) == [
+        TorsionPoint(tuple(Fraction(v, common) for v in a)) for a in grid
+    ]
+    return common
+
+
+@PROPERTIES
+@given(st.sampled_from([2, 4, 6]).flatmap(fixed_point_maps))
+def test_walk_matches_smith_axis_oracle(f):
+    assert_walk_matches_oracle(f)
+
+
+@PROPERTIES
+@given(product_group_maps())
+def test_walk_matches_oracle_on_product_groups(f):
+    k = f.matrix - IntegerMatrix.identity(f.rank)
+    assert smith_normal_form(k).V == IntegerMatrix.identity(f.rank)
+    assert_walk_matches_oracle(f)
+
+
+def test_walk_matches_oracle_on_cyclic_groups():
+    denominators = []
+
+    @PROPERTIES
+    @given(cyclic_group_maps())
+    def check(f):
+        denominators.append(assert_walk_matches_oracle(f))
+
+    check()
+    # some fixed groups sit over an N far above their order
+    assert max(denominators) > 10**5
+
+
+def builtin_walk_cases() -> list[tuple[str, int]]:
+    """(name, l), l <= 3, for each builtin iterate with 1 to 10^4 fixed points."""
+    cases = []
+    for name, l in itertools.product(["mult-by-2", *BUILTINS], [1, 2, 3]):
+        m = resolve_scenario(name).endomorphism.matrix
+        if 0 < abs(det(m**l - IntegerMatrix.identity(m.rows))) <= 10**4:
+            cases.append((name, l))
+    return cases
+
+
+@pytest.mark.parametrize("name, l", builtin_walk_cases())
+def test_walk_matches_oracle_on_builtins(name, l):
+    assert_walk_matches_oracle(resolve_scenario(name).endomorphism, l)
+
+
+@PROPERTIES
+@given(st.sampled_from([2, 4, 6]).flatmap(fixed_point_maps) | cyclic_group_maps())
+def test_echelon_basis_of_the_solution_lattice(f):
+    """The basis fixed_columns walks: upper triangular, pivots h_i | N and
+    prod N / h_i = |det(M - I)|."""
+    k = f.matrix - IntegerMatrix.identity(f.rank)
+    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f.translation])
+    divisors = snf.elementary_divisors
+    common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
+    axes = snf.V.transpose().to_lists()
+    basis = echelon_basis([[common // d * v for v in a] for d, a in zip(divisors, axes)], common)
+    for i, b in enumerate(basis):
+        assert not any(b[:i])
+        assert common % b[i] == 0
+    assert math.prod(common // b[i] for i, b in enumerate(basis)) == abs(det(k))
 
 
 def orbit_union(rng: random.Random, action: GroupAction, count: int) -> list[TorsionPoint]:

@@ -127,9 +127,9 @@ class TestSylvester:
         monkeypatch.setattr(lattice, "bareiss_pivots", counted_pivots)
         monkeypatch.setattr(lattice, "det", counted_det)
         ComplexTorus(16, torus.complex_structure, torus.riemann_form)
-        # one elimination of J^T S; det only for S's nondegeneracy
+        # one elimination of J^T S, whose positive minors certify det S != 0
         assert eliminations == [32]
-        assert det_sizes == [32]
+        assert det_sizes == []
 
 
 class TestComplexTorus:
@@ -159,6 +159,34 @@ class TestComplexTorus:
     def test_riemann_form_must_be_nondegenerate(self):
         with pytest.raises(ValueError, match="nondegenerate"):
             ComplexTorus(1, riemann_form=IntegerMatrix.zero(2, 2))
+
+    # S alternating on a product of two square CM curves, J = J0 + J0;
+    # labelled by whether S is degenerate and which J check it fails
+    @pytest.mark.parametrize(
+        "rows, message, dets",
+        [
+            # degenerate S: its refusal comes first, whichever J check fails
+            ([[0, -1, -1, -1], [1, 0, -1, -1], [1, 1, 0, 0], [1, 1, 0, 0]], "nondegenerate", 1),
+            ([[0, -1, -1, 0], [1, 0, 0, -1], [1, 0, 0, -1], [0, 1, 1, 0]], "nondegenerate", 1),
+            # nondegenerate S: the failing J check is named
+            ([[0, -1, -1, -1], [1, 0, -1, -1], [1, 1, 0, -1], [1, 1, 1, 0]], "J-invariant", 1),
+            ([[0, -1, -1, -1], [1, 0, 1, -1], [1, -1, 0, -1], [1, 1, 1, 0]],
+             "positive definite", 1),
+            # every J check passes: no determinant of S is taken
+            ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], None, 0),
+        ],
+    )
+    def test_refusal_order_and_determinants(self, monkeypatch, rows, message, dets):
+        calls = []
+        monkeypatch.setattr(lattice, "det", lambda m: calls.append(m) or det(m))
+        j = IntegerMatrix.block_diagonal([J0, J0])
+        s = IntegerMatrix.from_rows(rows)
+        if message is None:
+            ComplexTorus(2, j, s)
+        else:
+            with pytest.raises(ValueError, match=message):
+                ComplexTorus(2, j, s)
+        assert calls == [s] * dets
 
     def test_positivity_enforced(self):
         # S with the opposite orientation makes J^T S negative definite
@@ -211,24 +239,29 @@ class TestEndomorphismBasics:
         with pytest.raises(ValueError):
             TorsionPoint((Fraction(3, 2),))
 
-    @pytest.mark.parametrize("bad", [-1, 15])
+    @pytest.mark.parametrize("bad", [-1, 15, 16])
     def test_from_grid_refuses_numerators_outside_the_range(self, bad):
         with pytest.raises(ValueError, match=r"\[0,1\)"):
-            TorsionPoint.from_grid(15, [(0, 3), (bad, 1)])
+            TorsionPoint.from_grid(15, [(0, bad), (3, 1)])
 
     def test_from_grid_equals_checked_construction(self):
         rng = random.Random(7)
         for n in (1, 2, 6, 12):
             grid = [tuple(rng.randrange(n) for _ in range(4)) for _ in range(50)]
             want = [TorsionPoint(tuple(Fraction(v, n) for v in a)) for a in grid]
-            got = TorsionPoint.from_grid(n, grid)
+            got = TorsionPoint.from_grid(n, [list(c) for c in zip(*grid)])
             assert got == want
             assert all(type(c) is Fraction for p in got for c in p.coordinates)
         assert TorsionPoint.from_grid(5, []) == []
+        assert TorsionPoint.from_grid(5, [[], [], [], []]) == []
+
+    def test_from_grid_refuses_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            TorsionPoint.from_grid(5, [(0, 1), (2,)])
 
     def test_torsion_point_is_slotted_and_frozen(self):
         checked = TorsionPoint((HALF, Fraction(2, 3)))
-        (built,) = TorsionPoint.from_grid(6, [(3, 4)])
+        (built,) = TorsionPoint.from_grid(6, [(3,), (4,)])
         for p in (checked, built):
             assert not hasattr(p, "__dict__")
             with pytest.raises(FrozenInstanceError):
@@ -237,7 +270,7 @@ class TestEndomorphismBasics:
 
     def test_torsion_point_survives_pickle(self):
         points = [TorsionPoint((HALF, Fraction(2, 3)))] + TorsionPoint.from_grid(
-            6, [(3, 4), (0, 5)]
+            6, [(3, 0), (4, 5)]
         )
         copies = pickle.loads(pickle.dumps(points))
         assert copies == points
@@ -246,7 +279,7 @@ class TestEndomorphismBasics:
 
     def test_grid_point_equals_and_hashes_like_checked_point(self):
         for n, a in ((15, (0, 3, 14, 7)), (2, (1, 0)), (1, (0, 0, 0, 0))):
-            (built,) = TorsionPoint.from_grid(n, [a])
+            (built,) = TorsionPoint.from_grid(n, [[v] for v in a])
             checked = TorsionPoint(tuple(Fraction(v, n) for v in a))
             assert built == checked
             assert hash(built) == hash(checked)
@@ -316,7 +349,7 @@ class TestCollectorPaused:
         calls = [
             lambda: enumerate_fixed(diagonal, 2),
             lambda: fixpoint.fixed_grid(diagonal, 2),
-            lambda: TorsionPoint.from_grid(3, [(0, 1), (2, 2)]),
+            lambda: TorsionPoint.from_grid(3, [(0, 2), (1, 2)]),
             lambda: quotient.orbit_partition(
                 enumerate_fixed(bielliptic.endomorphism, 1), bielliptic.action
             ),
@@ -328,7 +361,7 @@ class TestCollectorPaused:
                 assert gc.isenabled() is enabled
             _set_collector(enabled)
             with pytest.raises(ValueError):
-                TorsionPoint.from_grid(3, [(0, 3)])
+                TorsionPoint.from_grid(3, [(0,), (3,)])
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
@@ -338,7 +371,7 @@ class TestCollectorPaused:
         # unpaused, these builds set off 144 and 72 collections; paused,
         # only the one young collection after the pause is left
         diagonal = resolve_scenario("diagonal-subvariety").endomorphism
-        grid = fixpoint.fixed_grid(diagonal, 4)
+        grid = fixpoint.fixed_columns(diagonal, 4)
         call = {
             "from_grid": lambda: TorsionPoint.from_grid(*grid),
             "fixed_grid": lambda: fixpoint.fixed_grid(diagonal, 4),

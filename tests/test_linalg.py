@@ -18,6 +18,7 @@ from torusdyn import linalg
 from torusdyn.linalg import (
     NonSquareMatrixError,
     SkewSymmetryError,
+    echelon_basis,
     power_bits,
     power_mod,
     power_sum_polynomial,
@@ -212,6 +213,46 @@ class TestDeterminant:
         assert det(IntegerMatrix.from_rows(rows)) == expected
 
 
+def bareiss_cases():
+    """Identity, diagonal, block-sparse and random matrices, n = 1..6."""
+    rng = random.Random(4242)
+    for n in range(1, 7):
+        yield f"identity-{n}", IntegerMatrix.identity(n)
+        diagonal = [rng.choice((-3, -1, 2, 5)) for _ in range(n)]
+        yield f"diagonal-{n}", IntegerMatrix.diagonal(diagonal)
+        blocks = [random_matrix(rng, 1 + rng.randrange(2)) for _ in range(n)]
+        sparse = IntegerMatrix.block_diagonal(blocks)
+        # a block-sparse matrix with its rows cycled, so that pivots are exchanged
+        rows = sparse.to_lists()
+        yield f"block-sparse-{n}", sparse
+        yield f"block-cycled-{n}", IntegerMatrix.from_rows(rows[1:] + rows[:1])
+        yield f"random-{n}", random_matrix(rng, n)
+
+
+BAREISS_CASES = dict(bareiss_cases())
+
+
+class TestBareissPivots:
+    @pytest.mark.parametrize("label", list(BAREISS_CASES))
+    def test_pivots_exchanges_and_det_match_cofactors(self, label):
+        m = BAREISS_CASES[label]
+        rows = m.to_lists()
+        pivots, exchanges = linalg.bareiss_pivots(m)
+        d = det_cofactor(rows)
+        assert det(m) == d
+        assert (-1) ** exchanges * pivots[-1] == d
+        if not exchanges:
+            # Sylvester's identity: the k-th pivot is the k-th leading minor
+            assert pivots == [
+                det_cofactor([r[:k] for r in rows[:k]]) for k in range(1, len(pivots) + 1)
+            ]
+
+    def test_cases_exchange_rows_and_end_singular(self):
+        results = [linalg.bareiss_pivots(m) for m in BAREISS_CASES.values()]
+        assert any(exchanges for _, exchanges in results)
+        assert any(pivots[-1] == 0 for pivots, _ in results)
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         # hand row/column reduction: gcd 1 splits off, lcm 6 remains
@@ -268,6 +309,62 @@ class TestSmithNormalForm:
     def test_largest_divisor(self):
         assert smith_normal_form(IntegerMatrix.diagonal([1, 6])).largest_divisor() == 6
         assert smith_normal_form(IntegerMatrix.zero(2, 2)).largest_divisor() == 0
+
+
+def subgroup_mod(rows: list[list[int]], modulus: int) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/modulus)^n the rows generate, by closing under addition."""
+    n = len(rows[0])
+    group = {(0,) * n}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for row in rows:
+            b = tuple((x + y) % modulus for x, y in zip(a, row))
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def assert_echelon(basis: list[list[int]], modulus: int, n: int) -> None:
+    """Upper triangular, 0 < h_i | modulus on the diagonal, [0, modulus) after it."""
+    assert len(basis) == n
+    for i, b in enumerate(basis):
+        assert len(b) == n
+        assert not any(b[:i])
+        assert 0 < b[i] <= modulus and modulus % b[i] == 0
+        assert all(0 <= v < modulus for v in b[i + 1 :])
+
+
+class TestEchelonBasis:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spans_the_generated_subgroup(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 3))
+        modulus = rng.randint(1, 12)
+        generators = [
+            [rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(1, 4))
+        ]
+        basis = echelon_basis(generators, modulus)
+        assert_echelon(basis, modulus, n)
+        group = subgroup_mod(generators, modulus)
+        assert subgroup_mod(basis, modulus) == group
+        assert math.prod(modulus // b[i] for i, b in enumerate(basis)) == len(group)
+
+    def test_zero_generators_leave_the_modulus_on_the_diagonal(self):
+        assert echelon_basis([[0, 0], [0, 0]], 6) == [[6, 0], [0, 6]]
+
+    def test_full_lattice_has_unit_pivots(self):
+        # det [[2, 3], [1, 1]] = -1: the rows span Z^2
+        basis = echelon_basis([[2, 3], [1, 1]], 7)
+        assert [b[i] for i, b in enumerate(basis)] == [1, 1]
+
+    def test_pivots_are_gcds_with_the_modulus(self):
+        # 15 (1, 0) and 15 (0, 1) span 15 Z^2 + 60 Z^2 = 15 Z^2
+        assert echelon_basis([[15, 0], [0, 15]], 60) == [[15, 0], [0, 15]]
+        # (4, 6) alone: column 0 has gcd(4, 12) = 4, and 3 (4, 6) = (12, 18)
+        # leaves (0, 18 mod 12 = 6) for column 1
+        assert echelon_basis([[4, 6]], 12) == [[4, 6], [0, 6]]
 
 
 class TestCharpoly:

@@ -171,7 +171,7 @@ class TestQuotientBound:
         def refuse(*args):
             raise AssertionError("the quotient path must not enumerate")
 
-        monkeypatch.setattr(fixpoint, "fixed_grid", refuse)
+        monkeypatch.setattr(fixpoint, "fixed_columns", refuse)
         monkeypatch.setattr(quotient, "_grid_classes", refuse)
         bound = quotient_fixed_lower_bound(
             LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, 3
@@ -206,7 +206,7 @@ class TestQuotientTable:
     def test_degenerate_row_refused_before_any_grid(self, monkeypatch):
         # [-1] descends and fixes 16 points at l = 1, but M^2 - I = 0
         grids = []
-        monkeypatch.setattr(fixpoint, "fixed_grid", lambda *args: grids.append(args))
+        monkeypatch.setattr(fixpoint, "fixed_columns", lambda *args: grids.append(args))
         monkeypatch.setattr(quotient, "_grid_classes", lambda *args: grids.append(args))
         with pytest.raises(DegenerateFixedLocusError, match=re.escape("det(M^2 - I) = 0")):
             quotient_table(
