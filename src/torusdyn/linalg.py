@@ -9,7 +9,8 @@ elsewhere are derived from them.  The Smith form has one elimination
 step, a row step that clears the pivot's column by a shear or an xgcd
 combination and applies the same operation to the transform; column
 operations are that step run on the transposed block, with V held as
-V^T.  The Pfaffian uses fraction-free skew elimination.  Characteristic
+V^T.  echelon_basis runs the same step, with no transform, for an
+upper-triangular basis of a lattice containing N Z^n.  The Pfaffian uses fraction-free skew elimination.  Characteristic
 polynomials come from the power sums tr(m^k), formed by baby and giant
 steps from about 2 sqrt(n) matrix products, and Newton's identities,
 whose divisions are exact; power_sums runs them the other way.  Every

@@ -5,9 +5,10 @@ the Sylvester test by one cofactor determinant per leading minor,
 principal-minor sums, the Faddeev-LeVerrier characteristic polynomial,
 the Pfaffian by expansion along the first row, a per-point grid scan, the
 fixed set walked over the Smith axes and sorted, a Fraction orbit
-partition, and elementary random matrix generators.  None
-of these share code with the package paths they check.  The package
-imports nothing from here.
+partition, and elementary random matrix generators.  None of these share
+code with the package paths they check, apart from the Smith data the
+fixed-set walk takes from solve_mod_lattice.  The package imports
+nothing from here.
 """
 
 from __future__ import annotations
@@ -180,7 +181,9 @@ def fixed_grid_smith_walk(f, l: int = 1) -> tuple[int, list[tuple[int, ...]]]:
     a = sum_i (base_i + j_i N / d_i) V[:, i] mod N, j_i < d_i, where
     base_i = b_i N / d_i and N is the lcm of d_i times the denominator of
     b_i.  Axis by axis, each coordinate list is extended by every multiple;
-    the lists are zipped into tuples and sorted at the end.  Assumes
+    the lists are zipped into tuples and sorted at the end.  The Smith
+    data comes from solve_mod_lattice, as in fixpoint.fixed_columns; the
+    walk and the order are this function's own.  Assumes
     det(M^l - I) != 0 and takes no budget.
     """
     # imported here, as in brute_force_scan
