@@ -55,9 +55,9 @@ class ComplexTorus:
     integer numerators over one denominator d >= 1, kept in lowest terms
     as a Fraction is, so equal structures compare equal.  Every check is
     an integer identity on the numerators: J J = -d^2 I, J^T S J = d^2 S,
-    and J^T S symmetric with positive leading minors (the k-th differs
-    from the true one by the factor d^k > 0) read off one Bareiss
-    elimination.  Those minors certify det(J^T S) > 0, hence det S != 0,
+    which together make J^T S symmetric, and positive leading minors of
+    J^T S (the k-th differs from the true one by the factor d^k > 0) read
+    off one Bareiss elimination.  Those minors certify det(J^T S) > 0, hence det S != 0,
     so S's own determinant is taken only without J or when a J check
     fails, and its refusal ("nondegenerate") still comes first.  From
     g = 6 on, * packs J J, J^T S and J^T S J whose left factor's entries
@@ -103,10 +103,11 @@ class ComplexTorus:
         failure = None
         if J is not None:
             H = J.transpose() * S
+            # H is symmetric once J-invariance holds: J^T S J = d^2 S times J
+            # on the right, with J J = -d^2 I, gives J^T S = -S J, and
+            # (J^T S)^T = S^T J = -S J for alternating S
             if H * J != S * (d * d):
                 failure = "Riemann form not J-invariant (J^T S J != S)"
-            elif H != H.transpose():
-                failure = "J^T S must be symmetric"
             elif not _leading_minors_positive(H):
                 failure = "J^T S must be positive definite"
         # a passing Sylvester test certifies det(J^T S) > 0, so det S != 0;

@@ -1,8 +1,10 @@
 import gc
+import itertools
 import json
 import math
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -187,6 +189,35 @@ class TestComplexTorus:
             with pytest.raises(ValueError, match=message):
                 ComplexTorus(2, j, s)
         assert calls == [s] * dets
+
+    def test_j_invariance_makes_j_transpose_s_symmetric(self):
+        # all 729 alternating 4 x 4 S with entries in {-1, 0, 1} against
+        # J = J0 + J0, for which J J = -I: wherever J^T S J = S holds, J^T S
+        # is symmetric, so the constructor checks no symmetry of its own
+        j = IntegerMatrix.block_diagonal([J0, J0])
+        invariant = 0
+        outcomes = Counter()
+        for upper in itertools.product((-1, 0, 1), repeat=6):
+            rows = [[0] * 4 for _ in range(4)]
+            for (a, b), v in zip(itertools.combinations(range(4), 2), upper):
+                rows[a][b], rows[b][a] = v, -v
+            s = IntegerMatrix.from_rows(rows)
+            h = j.transpose() * s
+            if h * j == s:
+                invariant += 1
+                assert h == h.transpose(), rows
+            try:
+                ComplexTorus(2, j, s)
+                outcomes["accepted"] += 1
+            except ValueError as exc:
+                outcomes[str(exc)] += 1
+        assert invariant == 81
+        assert outcomes == {
+            "Riemann form not J-invariant (J^T S J != S)": 416,
+            "Riemann form must be nondegenerate": 245,
+            "J^T S must be positive definite": 67,
+            "accepted": 1,
+        }
 
     def test_positivity_enforced(self):
         # S with the opposite orientation makes J^T S negative definite
