@@ -14,7 +14,6 @@ import math
 import shlex
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import fixpoint, intersection, quotient as quotient_mod
@@ -170,17 +169,15 @@ def _run_subvariety(scenario: Scenario, opts: Options):
         raise ScenarioError(f"scenario {scenario.name!r} declares no subvariety")
     q = _require_multiplier(scenario)
     r = sub.basis.cols // 2
-    restricted = fixpoint.periodic_subvariety_map(
-        scenario.endomorphism, sub.basis, sub.translate, sub.period
-    )
+    where = (scenario.endomorphism, sub.basis, sub.translate, sub.period)
     # the restriction of M^period is polarized with multiplier q^period on
     # a subtorus of dimension r, so its growth table is the subvariety table
     if opts.lmax is not None:
+        restricted = fixpoint.periodic_subvariety_map(*where)
         table = fixpoint.growth_table(restricted, q**sub.period, r, opts.lmax)
     else:
-        count = fixpoint.count_fixed(restricted, opts.l)
-        asymptote = q ** (r * sub.period * opts.l)
-        table = [fixpoint.GrowthRow(opts.l, count, asymptote, Fraction(count, asymptote))]
+        count = fixpoint.periodic_subvariety_count(*where, opts.l)
+        table = [fixpoint.growth_row(opts.l, count, q, q ** (r * sub.period * opts.l))]
     return ("l", "count_on_subvariety", "asymptote", "ratio"), _growth_rows(table)
 
 

@@ -8,11 +8,16 @@ cross-checks.  Table rows and large single counts split over the
 squarefree factors of charpoly(M) = prod_i a_i^i, as
 det(M^l - I) = prod_i D_l(a_i)^i with D_l(a) the product of
 alpha^l - 1 over the roots alpha of a, so a repeated eigenvalue is
-paid for once.  A single count takes the determinant by Bareiss on M^l
-while M^l's entries stay small, and past a bit bound from each factor
-a: power sums of x^l mod a and Newton's identities.  Growth tables and
-comparison reports keep every value exact (big integers and
-Fractions).  Their rows come from
+paid for once; the split of the last few matrices is cached
+(_charpoly_split).  A single count takes the determinant by Bareiss on
+M^l while M^l's entries stay small, and past a bit bound from each
+factor a: power sums of x^l mod a and Newton's identities.  Counts on a
+periodic subvariety always take the second way, from the cached split
+of the cached restriction, so a count per l forms no power of the
+restricted map.  Growth tables and comparison reports keep every value
+exact (big integers and Fractions); a growth ratio count / q^{gl} is
+reduced by the part of the count made of q's primes, so no gcd of two
+row-sized integers is taken.  Their rows come from
 iterate_determinants: D_l(a) is a signed sum of the traces of the
 exterior powers of a's companion matrix to the l, each of which obeys
 a linear recurrence (the rationality of the dynamical zeta function),
@@ -141,8 +146,12 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     is at most _BAREISS_MAX_BITS = 1024, M^l is one binary power,
     O(log l) matrix products, and Bareiss takes det(M^l - I).  Past it,
     _determinant_from_charpoly takes the value from the squarefree
-    factors a of charpoly(M) and x^l mod a, O(m^2 log l) coefficient
-    products for a of degree m, with no power of M formed.  Bareiss time
+    factors a of charpoly(M) (cached, _charpoly_split) and x^l mod a,
+    O(m^2 log l) coefficient products for a of degree m, with no power
+    of M formed.  The bound stays for any l, because a one-off count on
+    a large matrix must not pay a charpoly: on mult-by-2-g64's 128 x 128
+    M at l = 1, charpoly and split take 0.38-0.45 s against 3.5-4 ms
+    for Bareiss (2-vCPU, Python 3.11).  Bareiss time
     over the charpoly path's time on seeded random [-3, 3] matrices,
     whose charpolys are squarefree (2-vCPU, Python 3.11, median of 3 to
     7 calls, measured before the split; above 1 the charpoly path is
@@ -215,17 +224,27 @@ def _factor_determinant(a: IntegerPolynomial, l: int) -> int:
     return sign * power_sum_polynomial(traces)(1) + _shifted_power(sign * a.coefficients[0], l)
 
 
+@functools.lru_cache(maxsize=16)
+def _charpoly_split(m: IntegerMatrix) -> tuple[tuple[IntegerPolynomial, int], ...]:
+    """The squarefree factors (a_i, i) of charpoly(m) = prod_i a_i^i.
+
+    linalg.squarefree_factors of linalg.charpoly, as a tuple.  m is
+    frozen, so the splits of the last 16 matrices are cached: a table, a
+    Serre check and the counts of one map take one charpoly between them,
+    and a count per l on a periodic subvariety takes one in all.
+    """
+    return tuple(squarefree_factors(charpoly(m)))
+
+
 def _determinant_from_charpoly(m: IntegerMatrix, l: int) -> int:
     """det(m^l - I), signed, from the squarefree factors of charpoly(m).
 
-    With charpoly(m) = prod_i a_i^i (linalg.squarefree_factors),
+    With charpoly(m) = prod_i a_i^i (_charpoly_split, cached),
     det(m^l - I) = prod_i D_l(a_i)^i, each D_l(a_i) from a_i and
     x^l mod a_i (_factor_determinant), so a repeated eigenvalue is paid
     for once.
     """
-    return math.prod(
-        _factor_determinant(a, l) ** i for a, i in squarefree_factors(charpoly(m))
-    )
+    return math.prod(_factor_determinant(a, l) ** i for a, i in _charpoly_split(m))
 
 
 def _factor_rows(a: IntegerPolynomial, l_max: int) -> Iterator[int]:
@@ -272,12 +291,12 @@ def iterate_determinants(
 ) -> Iterator[tuple[int, int]]:
     """Yield (l, det(M^l - I)) for l = 1..l_max, signed and exact.
 
-    With charpoly(M) = prod_i a_i^i (linalg.squarefree_factors),
+    With charpoly(M) = prod_i a_i^i (_charpoly_split, cached),
     det(M^l - I) = prod_i D_l(a_i)^i, and the rows of each D_l(a_i) come
     from power sums, one sequence per exterior power of a_i's companion
     matrix (_factor_rows).  A row so costs sum_i 2^(deg a_i) recurrence
     terms, not 2^n: for charpoly(M) = (x - 2)^6 it is (2^l - 1)^6, one
-    running product and one power.  One charpoly of M is formed in all.
+    running product and one power.  At most one charpoly of M is formed.
 
     Two paths give every checked row: Bareiss det(P - I) on the walked
     P = M^l, stepped as P <- P M, pins rows 1..min(2^n, l_max), and for
@@ -291,7 +310,7 @@ def iterate_determinants(
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     n = f.rank
-    factors = squarefree_factors(charpoly(f.matrix))
+    factors = _charpoly_split(f.matrix)
     multiplicities = [i for _, i in factors]
     rows = zip(*(_factor_rows(a, l_max) for a, _ in factors))
     identity = IntegerMatrix.identity(n)
@@ -480,24 +499,50 @@ def brute_force_count(
     return sum(map(last.get, zip(*sums), itertools.repeat(0)))
 
 
+def growth_row(l: int, count: int, q: int, asymptote: int) -> GrowthRow:
+    """The row (l, count, asymptote, count / asymptote) for an asymptote
+    that is a power of q > 1, and a count > 0.
+
+    gcd(count, q^k) divides the part of the count made of q's primes.
+    That part comes from repeated gcds with q, then with what is left of
+    the last gcd, each against one small operand, so a one-limb reduction
+    of the count; only that part, when it is not 1, meets the asymptote
+    in a gcd.  The reduced pair is coprime with a positive denominator,
+    so the ratio is built as a normalized Fraction directly, with no gcd
+    of its own (as Fraction._from_coprime_ints does on Python 3.12).
+    """
+    part, rest = 1, count
+    shared = math.gcd(rest, q)
+    while shared > 1:
+        part *= shared
+        rest //= shared
+        shared = math.gcd(rest, shared)
+    ratio = object.__new__(Fraction)
+    ratio._numerator, ratio._denominator = count, asymptote
+    if part > 1:
+        common = math.gcd(asymptote, part)
+        ratio._numerator, ratio._denominator = count // common, asymptote // common
+    return GrowthRow(l, count, asymptote, ratio)
+
+
 def growth_table(
     f: LatticeEndomorphism, q: int, g: int, l_max: int
 ) -> list[GrowthRow]:
     """Exact counts for l = 1..l_max against the q^{gl} asymptote.
 
     The rows come from iterate_determinants' exterior-power recurrences,
-    checked against Bareiss determinants.  The first degenerate iterate
-    (det(M^l - I) = 0) raises DegenerateFixedLocusError, as count_fixed
-    would at that l.
+    checked against Bareiss determinants, and each ratio is reduced by
+    growth_row without a gcd of two row-sized integers.  The first
+    degenerate iterate (det(M^l - I) = 0) raises DegenerateFixedLocusError,
+    as count_fixed would at that l.
     """
     check_multiplier(q)
     rows = []
     step = q**g
     asymptote = 1
     for l, d in iterate_determinants(f, l_max):
-        exact = nondegenerate_count(l, d)
         asymptote *= step
-        rows.append(GrowthRow(l, exact, asymptote, Fraction(exact, asymptote)))
+        rows.append(growth_row(l, nondegenerate_count(l, d), q, asymptote))
     return rows
 
 
@@ -549,8 +594,7 @@ def eigenvalue_magnitude_check(
     check_multiplier(q)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and >= 0")
-    factors = squarefree_factors(charpoly(f.matrix))
-    reduced = functools.reduce(operator.mul, (a for a, _ in factors))
+    reduced = functools.reduce(operator.mul, (a for a, _ in _charpoly_split(f.matrix)))
     try:
         coeffs_desc = [float(c) for c in reversed(reduced.coefficients)]
         roots = np.roots(coeffs_desc)
@@ -611,6 +655,15 @@ def periodic_subvariety_count(
     """Fixed points of f^{period*l} on the translate of an invariant subtorus.
 
     The count is |det(M'^l - I)| for M' the restriction of M^period to
-    the sublattice (periodic_subvariety_map).
+    the sublattice (periodic_subvariety_map), taken from the cached
+    squarefree split of charpoly(M') (_charpoly_split) and x^l mod each
+    factor, so no power of M' is formed and a count per l pays the
+    restriction and the charpoly once.  l is taken as an integer
+    (operator.index) after the restriction is built; l < 1 is refused as
+    count_fixed refuses it, and so is a degenerate iterate.
     """
-    return count_fixed(periodic_subvariety_map(f, basis, translate, period), l)
+    restricted = periodic_subvariety_map(f, basis, translate, period)
+    l = operator.index(l)
+    if l < 1:
+        raise ValueError("iterate must be >= 1")
+    return nondegenerate_count(l, _determinant_from_charpoly(restricted.matrix, l))

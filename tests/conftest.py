@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from torusdyn import fixpoint
+
 
 @pytest.fixture(autouse=True)
 def collector_left_enabled():
@@ -16,6 +18,18 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture(autouse=True)
+def fresh_charpoly_split():
+    """Start every test with an empty fixpoint._charpoly_split cache.
+
+    The split of charpoly(M) is cached per matrix, so without this a test
+    that counts charpoly's products or calls would read fewer of them
+    whenever an earlier test had split the same matrix.
+    """
+    fixpoint._charpoly_split.cache_clear()
+    yield
 
 
 @pytest.fixture

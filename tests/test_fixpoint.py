@@ -444,6 +444,48 @@ class TestGrowthTable:
         with pytest.raises(DegenerateFixedLocusError, match="M\\^1"):
             growth_table(f, 2, 1, 3)
 
+    @pytest.mark.parametrize(
+        "f, q, g",
+        [
+            (mult(3), 6, 1),  # (3^l - 1)^2 is even: the counts share q's 2
+            (mult(3), 12, 1),
+            (mult(3), 9, 1),
+            (mult(4), 9, 1),  # (4^l - 1)^2 is a multiple of 9
+            (mult(4), 6, 2),
+            (mult(3, 2), 6, 2),
+            (mult(2), 4, 1),
+            (GAUSSIAN, 2, 1),
+        ],
+    )
+    def test_ratios_equal_fraction(self, f, q, g):
+        for row in growth_table(f, q, g, 80):
+            assert row.asymptote == q ** (g * row.l)
+            expected = Fraction(row.exact_count, row.asymptote)
+            assert (row.ratio.numerator, row.ratio.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+            assert hash(row.ratio) == hash(expected)
+            assert str(row.ratio) == str(expected)
+
+    def test_growth_row_on_counts_rich_in_q_primes(self):
+        # counts whose q-part exceeds, meets or falls short of the asymptote's
+        rng = random.Random(139)
+        primes = (2, 3, 5, 7)
+        for _ in range(400):
+            q = rng.choice((2, 3, 4, 6, 9, 10, 12, 30, 49, 1024))
+            k = rng.randint(1, 40)
+            count = rng.randint(1, 10**6)
+            for p in primes:
+                count *= p ** rng.choice((0, 0, 1, 5, 40, 200))
+            row = fixpoint.growth_row(k, count, q, q**k)
+            expected = Fraction(count, q**k)
+            assert row == fixpoint.GrowthRow(k, count, q**k, expected)
+            assert (row.ratio.numerator, row.ratio.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+
     def test_ratio_bound_on_builtins(self):
         # |ratio - 1| <= 2^(2 - l/2) checked exactly: 2^l (ratio-1)^2 <= 16
         scenarios = [
@@ -595,8 +637,17 @@ class TestPeriodicSubvariety:
             calls.append(args)
             return restrict(*args)
 
+        charpolys = []
+        charpoly = fixpoint.charpoly
+
+        def counted_charpoly(m):
+            charpolys.append(m)
+            return charpoly(m)
+
         fixpoint.periodic_subvariety_map.cache_clear()
+        fixpoint._charpoly_split.cache_clear()
         monkeypatch.setattr(fixpoint, "restrict_to_sublattice", counted)
+        monkeypatch.setattr(fixpoint, "charpoly", counted_charpoly)
         counts = [
             periodic_subvariety_count(
                 scenario.endomorphism, sub.basis, sub.translate, sub.period, l
@@ -604,8 +655,11 @@ class TestPeriodicSubvariety:
             for l in range(1, 21)
         ]
         fixpoint.periodic_subvariety_map.cache_clear()
+        fixpoint._charpoly_split.cache_clear()
         assert counts == [(2**l - 1) ** 2 for l in range(1, 21)]
         assert len(calls) == 1
+        # one charpoly, of the restricted 2 x 2 map, for all 20 counts
+        assert charpolys == [IntegerMatrix.scalar(2, 2)]
 
     def test_iterate_below_one_refused_by_count_fixed(self):
         scenario = resolve_scenario("diagonal-subvariety")
@@ -614,6 +668,58 @@ class TestPeriodicSubvariety:
             periodic_subvariety_count(
                 scenario.endomorphism, sub.basis, sub.translate, sub.period, 0
             )
+
+    @pytest.mark.parametrize("l", (2.0, "3"))
+    def test_iterate_must_be_an_integer(self, l):
+        scenario = resolve_scenario("diagonal-subvariety")
+        sub = scenario.subvariety
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            periodic_subvariety_count(
+                scenario.endomorphism, sub.basis, sub.translate, sub.period, l
+            )
+
+    def test_counts_equal_count_fixed_on_the_restriction(self):
+        # builtin, torsion-translate and random invariant subtori, at small
+        # iterates and on both sides of count_fixed's bit bound, where
+        # count_fixed switches from Bareiss on M'^l to the charpoly path
+        cases = subvariety_cases()
+        for f, basis, translate, period in cases:
+            restricted = fixpoint.periodic_subvariety_map(f, basis, translate, period)
+            m = restricted.matrix
+            iterates = [1, 2, 3, 7]
+            if power_bits(m, 1) > power_bits(m, 0):
+                past = first_iterate_past_bound(m)
+                iterates += [past - 1, past]
+            for l in iterates:
+                try:
+                    expected = count_fixed(restricted, l)
+                except DegenerateFixedLocusError as exc:
+                    message = f"^{re.escape(str(exc))}$"
+                    with pytest.raises(DegenerateFixedLocusError, match=message):
+                        periodic_subvariety_count(f, basis, translate, period, l)
+                    continue
+                assert periodic_subvariety_count(f, basis, translate, period, l) == expected
+        assert len(cases) == 14
+
+    @pytest.mark.parametrize("block", FINITE_ORDER_BLOCKS)
+    def test_degenerate_iterate_refused_as_count_fixed_refuses_it(self, block):
+        # the invariant subtorus carries a finite-order block, so M'^l = I at
+        # every multiple l of its order
+        rng = random.Random(137)
+        order = next(
+            k for k in range(1, 7)
+            if IntegerMatrix.from_rows(block) ** k == IntegerMatrix.identity(2)
+        )
+        f, basis = invariant_subtorus(rng, IntegerMatrix.from_rows(block), 2)
+        origin = TorsionPoint.reduce([0] * f.rank)
+        restricted = fixpoint.periodic_subvariety_map(f, basis, origin, 1)
+        for l in (order, 2 * order, 1000 * order):
+            with pytest.raises(DegenerateFixedLocusError) as expected:
+                count_fixed(restricted, l)
+            message = f"^{re.escape(str(expected.value))}$"
+            assert str(expected.value).startswith(f"det(M^{l} - I) = 0")
+            with pytest.raises(DegenerateFixedLocusError, match=message):
+                periodic_subvariety_count(f, basis, origin, 1, l)
 
     def test_nonperiodic_translate_rejected(self):
         f = mult(2, 2)
@@ -644,3 +750,38 @@ class TestPeriodicSubvariety:
             b = len(enumerate_fixed(restricted, l))
             c = brute_force_count(restricted, l)
             assert a == b == c
+
+
+def invariant_subtorus(
+    rng: random.Random, block: IntegerMatrix, rest: int
+) -> tuple[LatticeEndomorphism, IntegerMatrix]:
+    """f = P [[block, C], [0, B]] P^-1 with random C, B of size rest and
+    unimodular P, and the basis of P's first k columns, which spans an
+    invariant saturated sublattice on which f acts as block."""
+    k = block.rows
+    n = k + rest
+    rows = [list(block.row(i)) + [rng.randint(-3, 3) for _ in range(rest)] for i in range(k)]
+    rows += [[0] * k + list(row) for row in random_matrix(rng, rest).to_lists()]
+    p = random_unimodular(rng, n)
+    p_inv = complementary_isogeny(LatticeEndomorphism(p))[0].matrix
+    f = LatticeEndomorphism(p * IntegerMatrix.from_rows(rows) * p_inv)
+    basis = IntegerMatrix.from_rows([row[:k] for row in p.to_lists()])
+    return f, basis
+
+
+def subvariety_cases() -> list:
+    """(f, basis, translate, period) on which a subvariety count is defined."""
+    diagonal = resolve_scenario("diagonal-subvariety")
+    sub = diagonal.subvariety
+    torsion = TorsionPoint.reduce([Fraction(1, 3), 0, Fraction(1, 3), 0])
+    cases = [
+        (diagonal.endomorphism, sub.basis, sub.translate, sub.period),
+        (mult(2, 2), IntegerMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]]), torsion, 2),
+    ]
+    rng = random.Random(131)
+    for k, rest in ((2, 2), (2, 4), (4, 2)):
+        for period in (1, 2):
+            for _ in range(2):
+                f, basis = invariant_subtorus(rng, random_nonsingular(rng, k), rest)
+                cases.append((f, basis, TorsionPoint.reduce([0] * f.rank), period))
+    return cases
