@@ -57,11 +57,11 @@ class ComplexTorus:
     an integer identity on the numerators: J J = -d^2 I, J^T S J = d^2 S,
     which together make J^T S symmetric, and positive leading minors of
     J^T S (the k-th differs from the true one by the factor d^k > 0) read
-    off one Bareiss elimination.  Those minors certify det(J^T S) > 0, hence det S != 0,
-    so S's own determinant is taken only without J or when a J check
-    fails, and its refusal ("nondegenerate") still comes first.  From
-    g = 6 on, * packs J J, J^T S and J^T S J whose left factor's entries
-    fit in 64 bits.
+    off one Bareiss elimination.  Those minors certify det(J^T S) > 0,
+    hence det S != 0, so S's own determinant is taken only without J or
+    when a J check fails, and its refusal ("nondegenerate") still comes
+    first.  From g = 6 on, * packs J J, J^T S and J^T S J whose left
+    factor's entries fit in 64 bits.
     """
 
     g: int
