@@ -129,6 +129,15 @@ def nondegenerate_count(l: int, d: int) -> int:
     return abs(d)
 
 
+def _checked_iterate(l: int) -> int:
+    """l as an int (operator.index, so a float or a string raises
+    TypeError), refusing l < 1."""
+    l = operator.index(l)
+    if l < 1:
+        raise ValueError("iterate must be >= 1")
+    return l
+
+
 def check_multiplier(q: int) -> None:
     """Refuse a multiplier q < 2, which no polarized map has."""
     if q < 2:
@@ -174,9 +183,7 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
 
     A table over l = 1..l_max goes through iterate_determinants instead.
     """
-    l = operator.index(l)
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
+    l = _checked_iterate(l)
     m = f.matrix
     if power_bits(m, l) <= _BAREISS_MAX_BITS:
         d = det(m**l - IntegerMatrix.identity(f.rank))
@@ -517,11 +524,12 @@ def growth_row(l: int, count: int, q: int, asymptote: int) -> GrowthRow:
         part *= shared
         rest //= shared
         shared = math.gcd(rest, shared)
-    ratio = object.__new__(Fraction)
-    ratio._numerator, ratio._denominator = count, asymptote
+    numerator, denominator = count, asymptote
     if part > 1:
         common = math.gcd(asymptote, part)
-        ratio._numerator, ratio._denominator = count // common, asymptote // common
+        numerator, denominator = count // common, asymptote // common
+    ratio = object.__new__(Fraction)
+    ratio._numerator, ratio._denominator = numerator, denominator
     return GrowthRow(l, count, asymptote, ratio)
 
 
@@ -663,7 +671,5 @@ def periodic_subvariety_count(
     count_fixed refuses it, and so is a degenerate iterate.
     """
     restricted = periodic_subvariety_map(f, basis, translate, period)
-    l = operator.index(l)
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
+    l = _checked_iterate(l)
     return nondegenerate_count(l, _determinant_from_charpoly(restricted.matrix, l))
