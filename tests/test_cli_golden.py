@@ -38,6 +38,7 @@ RUNS = (
     "subvariety --l 2",
     "subvariety --lmax 3",
     "verify --l 1",
+    "verify lefschetz --l 1100",
 )
 COMMAND_LINES = [
     line + f" --format {fmt}"
