@@ -56,7 +56,6 @@ from .linalg import (
     SmithDecomposition,
     charpoly,
     det,
-    exterior_trace_sum,
     pfaffian,
     smith_normal_form,
 )

@@ -29,7 +29,7 @@ from .lattice import (
     grid_residues,
     polarization_multiplier,
 )
-from .linalg import IntegerMatrix, det, exterior_trace_sum
+from .linalg import IntegerMatrix, det
 from .report import Report, render_csv, render_table
 from .scenarios import (
     BUILTINS,
@@ -210,10 +210,11 @@ def _verify_serre(scenario: Scenario, opts: Options):
 
 
 def _verify_lefschetz(scenario: Scenario, opts: Options):
-    # one power M^l, read twice: by exterior traces and by a Bareiss det
-    m_l = scenario.endomorphism.matrix**opts.l
-    lef = exterior_trace_sum(m_l)
-    k = m_l - IntegerMatrix.identity(m_l.rows)
+    # two paths: L(f^l) = charpoly(M^l)(1) = (-1)^n det(M^l - I) from the
+    # split of charpoly(M), with no power of M, against Bareiss on M^l
+    m = scenario.endomorphism.matrix
+    lef = (-1) ** m.rows * fixpoint._determinant_from_charpoly(m, opts.l)
+    k = m**opts.l - IntegerMatrix.identity(m.rows)
     count = fixpoint.nondegenerate_count(opts.l, det(k))
     detail = f"l = {opts.l}; lefschetz = {lef}; fixed points = {count}"
     return [("", _status(abs(lef) == count), detail)]

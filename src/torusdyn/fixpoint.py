@@ -11,7 +11,7 @@ alpha^l - 1 over the roots alpha of a, so a repeated eigenvalue is
 paid for once; the split of the last few matrices is cached
 (_charpoly_split).  A single count takes the determinant by Bareiss on
 M^l while M^l's entries stay small, and past a bit bound from each
-factor a: power sums of x^l mod a and Newton's identities.  Counts on a
+factor a: charpoly_power(a, l), read at 1.  Counts on a
 periodic subvariety always take the second way, from the cached split
 of the cached restriction, so a count per l forms no power of the
 restricted map.  Growth tables and comparison reports keep every value
@@ -41,7 +41,6 @@ from .lattice import (
     LatticeEndomorphism,
     SimpleFactorSpec,
     TorsionPoint,
-    collector_paused,
     power,
     restrict_to_sublattice,
     solve_mod_lattice,
@@ -51,13 +50,12 @@ from .linalg import (
     IntegerPolynomial,
     binary_power,
     charpoly,
+    charpoly_power,
     det,
     echelon_basis,
     power_bits,
-    power_mod,
     power_sum_polynomial,
     power_sums,
-    product_mod,
     smith_normal_form,
     squarefree_factors,
 )
@@ -155,10 +153,10 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     is at most _BAREISS_MAX_BITS = 1024, M^l is one binary power,
     O(log l) matrix products, and Bareiss takes det(M^l - I).  Past it,
     _determinant_from_charpoly takes the value from the squarefree
-    factors a of charpoly(M) (cached, _charpoly_split) and x^l mod a,
-    O(m^2 log l) coefficient products for a of degree m, with no power
-    of M formed.  The bound stays for any l, because a one-off count on
-    a large matrix must not pay a charpoly: on mult-by-2-g64's 128 x 128
+    factors a of charpoly(M) (cached, _charpoly_split) and
+    charpoly_power(a, l), O(m^2 log l) coefficient products for a of
+    degree m, with no power of M formed.  The bound stays for any l,
+    because a one-off count on a large matrix must not pay a charpoly: on mult-by-2-g64's 128 x 128
     M at l = 1, charpoly and split take 0.38-0.45 s against 3.5-4 ms
     for Bareiss (2-vCPU, Python 3.11).  Bareiss time
     over the charpoly path's time on seeded random [-3, 3] matrices,
@@ -192,45 +190,6 @@ def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
     return nondegenerate_count(l, d)
 
 
-def _shifted_power(b: int, l: int) -> int:
-    """b^l for l >= 1, with the 2-adic part of b taken by a shift.
-
-    b = 2^s u, u odd, gives b^l = u^l 2^(sl): int.__pow__ multiplies its
-    way up even for b = 2, while a shift only writes the bits.
-    """
-    if not b:
-        return 0
-    s = (b & -b).bit_length() - 1
-    return (b >> s) ** l << (s * l)
-
-
-def _factor_determinant(a: IntegerPolynomial, l: int) -> int:
-    """D_l(a) = prod over the roots alpha of the monic a of (alpha^l - 1).
-
-    With m = deg a and e_k the elementary symmetric functions,
-    D_l(a) = sum_k (-1)^(m-k) e_k(alpha^l).  Since r = x^l mod a has
-    r(C) = C^l for C a's companion matrix, the traces
-    sum_alpha alpha^(jl), j < m, are sum_i coeff_i(r^j) p_i with
-    r^j = r^(j-1) r mod a, p_0 = m and p_1..p_(m-1) the power sums of a.
-    Newton's identities (power_sum_polynomial) turn them into
-    e = sum_(k<m) (-1)^k e_k(alpha^l) x^(m-1-k): step k reads only
-    p_1..p_k.  e_m(alpha^l) = ((-1)^m a_0)^l is one integer power, so
-    the last Newton step, with the largest products, is never taken,
-    and D_l(a) = (-1)^m e(1) + ((-1)^m a_0)^l.  For m = 1 no x^l mod a
-    is formed and e = 1.
-    """
-    m = len(a.coefficients) - 1
-    traces = []
-    if m > 1:
-        sums = [m, *itertools.islice(power_sums(a), m - 1)]
-        r_powers = itertools.accumulate(
-            itertools.repeat(power_mod(a, l), m - 1), functools.partial(product_mod, p=a)
-        )
-        traces = [sum(map(operator.mul, r.coefficients, sums)) for r in r_powers]
-    sign = (-1) ** m
-    return sign * power_sum_polynomial(traces)(1) + _shifted_power(sign * a.coefficients[0], l)
-
-
 @functools.lru_cache(maxsize=16)
 def _charpoly_split(m: IntegerMatrix) -> tuple[tuple[IntegerPolynomial, int], ...]:
     """The squarefree factors (a_i, i) of charpoly(m) = prod_i a_i^i.
@@ -247,11 +206,10 @@ def _determinant_from_charpoly(m: IntegerMatrix, l: int) -> int:
     """det(m^l - I), signed, from the squarefree factors of charpoly(m).
 
     With charpoly(m) = prod_i a_i^i (_charpoly_split, cached),
-    det(m^l - I) = prod_i D_l(a_i)^i, each D_l(a_i) from a_i and
-    x^l mod a_i (_factor_determinant), so a repeated eigenvalue is paid
-    for once.
+    det(m^l - I) = (-1)^n charpoly(m^l)(1) = (-1)^n prod_i c_i(1)^i for
+    c_i = charpoly_power(a_i, l), so a repeated eigenvalue is paid for once.
     """
-    return math.prod(_factor_determinant(a, l) ** i for a, i in _charpoly_split(m))
+    return (-1) ** m.rows * math.prod(charpoly_power(a, l)(1) ** i for a, i in _charpoly_split(m))
 
 
 def _factor_rows(a: IntegerPolynomial, l_max: int) -> Iterator[int]:
@@ -264,12 +222,14 @@ def _factor_rows(a: IntegerPolynomial, l_max: int) -> Iterator[int]:
     Column k, 0 < k < m, is power_sums of charpoly(wedge^k C), of degree
     C(m, k), which power_sum_polynomial builds from s_k(1..C(m, k)) by
     Newton's identities, so no exterior matrix is formed.  The seed
-    s_k(l) is a signed coefficient of prod_alpha (x - alpha^l), whose top
-    m - 1 coefficients Newton's identities build from the power sums
-    p_(li), i < m, of a.  Only min(l_max, C(m, m/2)) seed rows are formed;
-    a column longer than l_max is built from its first l_max values,
-    whose power sums agree with the column up to l_max.  For m = 1 there
-    is no inner column and no seed.
+    s_k(l) is a signed coefficient of charpoly_power(a, l), whose top
+    m - 1 coefficients Newton's identities build here from the power sums
+    p_(li), i < m, of one shared walk of a's power_sums (20 seed rows of a
+    degree-6 factor: 0.27 ms, against 2.3 ms by charpoly_power).  Only
+    min(l_max, C(m, m/2)) seed rows are formed; a column longer than
+    l_max is built from its first l_max values, whose power sums agree
+    with the column up to l_max.  For m = 1 there is no inner column and
+    no seed.
     """
     m = len(a.coefficients) - 1
     orders = [math.comb(m, k) for k in range(1, m)]
@@ -434,19 +394,6 @@ def fixed_columns(
     return common, columns
 
 
-def fixed_grid(
-    f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Fix(f^l) as (N, points): each point a tuple a in [0, N)^n standing
-    for a / N, sorted.  The tuples are fixed_columns' columns zipped, with
-    the cyclic collector paused (lattice.collector_paused); its budget
-    refusal and its checks apply as they are.
-    """
-    common, columns = fixed_columns(f, l, budget)
-    with collector_paused():
-        return common, list(zip(*columns))
-
-
 def enumerate_fixed(
     f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[TorsionPoint]:
@@ -471,7 +418,7 @@ def brute_force_count(
     elementary divisor; with a translation of denominator r every solution
     lies on the grid of side G = D r.  Only the divisors are taken from
     the Smith form, never its transforms, so the scan stays independent
-    of fixed_grid; their product |det(K)| refuses a degenerate iterate as
+    of fixed_columns; their product |det(K)| refuses a degenerate iterate as
     count_fixed does, with no Bareiss determinant.  A grid point a / G is
     fixed when K a + G t = 0 mod G.  The residues of that sum over the
     first n - 1 coordinates are built one coordinate at a time, as one

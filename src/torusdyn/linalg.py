@@ -18,9 +18,10 @@ product whose left factor has at least 12 rows and entries of at most 64
 bits packs each row of its right factor into one int (Kronecker
 substitution), so it costs n^2 big-integer operations, not n^3 small ones.
 power_mod takes x^l mod a monic polynomial by binary powering with the
-schoolbook product_mod, squarefree_factors splits a monic polynomial by
-Yun's algorithm, and power_bits estimates the bits of a matrix power's
-entries before it is formed.
+schoolbook product_mod, and charpoly_power turns charpoly(m) into
+charpoly(m^l) through it.  squarefree_factors splits a monic polynomial
+by Yun's algorithm, and power_bits estimates the bits of a matrix
+power's entries before it is formed.
 """
 
 from __future__ import annotations
@@ -608,6 +609,53 @@ def power_mod(p: IntegerPolynomial, l: int) -> IntegerPolynomial:
     return binary_power(x, l, functools.partial(product_mod, p=p))
 
 
+def _shifted_power(b: int, l: int) -> int:
+    """b^l for l >= 1, with the 2-adic part of b taken by a shift.
+
+    b = 2^s u, u odd, gives b^l = u^l 2^(sl): int.__pow__ multiplies its
+    way up even for b = 2, while a shift only writes the bits.
+    """
+    if not b:
+        return 0
+    s = (b & -b).bit_length() - 1
+    return (b >> s) ** l << (s * l)
+
+
+def charpoly_power(a: IntegerPolynomial, l: int) -> IntegerPolynomial:
+    """prod (x - alpha^l) over the roots alpha of the monic a, with
+    multiplicity, for an int l >= 1: charpoly(m^l) for a = charpoly(m),
+    with no power of m formed.
+
+    With m = deg a and C a's companion matrix, r = x^l mod a (power_mod)
+    has r(C) = C^l, so the traces sum_alpha alpha^(jl), j < m, are
+    sum_i coeff_i(r^j) p_i with r^j = r^(j-1) r mod a, p_0 = m and
+    p_1..p_(m-1) the power sums of a.  Newton's identities
+    (power_sum_polynomial) turn them into the top m coefficients.  The
+    constant term (-1)^m ((-1)^m a_0)^l is one integer power, so the last
+    Newton step, with the largest products, is never taken; for m = 1
+    neither x^l mod a nor Newton's identities are used.  A non-monic or
+    constant a and l < 1 raise ValueError, an l that is not an int
+    (operator.index) TypeError.
+    """
+    l = operator.index(l)
+    if l < 1:
+        raise ValueError("exponent must be >= 1")
+    m = len(a.coefficients) - 1
+    if m < 1 or a.coefficients[-1] != 1:
+        raise ValueError("charpoly_power needs a monic polynomial of degree >= 1")
+    top = (1,)
+    if m > 1:
+        sums = [m, *itertools.islice(power_sums(a), m - 1)]
+        r_powers = itertools.accumulate(
+            itertools.repeat(power_mod(a, l), m - 1), functools.partial(product_mod, p=a)
+        )
+        traces = [sum(map(operator.mul, r.coefficients, sums)) for r in r_powers]
+        top = power_sum_polynomial(traces).coefficients
+    sign = (-1) ** m
+    constant = sign * _shifted_power(sign * a.coefficients[0], l)
+    return IntegerPolynomial((constant, *top))
+
+
 # squarefree_factors takes gcd(p, p') modulo this prime before any
 # rational arithmetic
 _SQUAREFREE_PRIME = 2**61 - 1
@@ -775,13 +823,3 @@ def pfaffian(s: IntegerMatrix) -> int:
     if not s.is_skew_symmetric():
         raise SkewSymmetryError("pfaffian needs a skew-symmetric matrix")
     return _pfaffian_eliminate(s.to_lists())
-
-
-def exterior_trace_sum(m: IntegerMatrix) -> int:
-    """Alternating sum of exterior-power traces, sum_k (-1)^k tr(wedge^k m).
-
-    For each k, tr(wedge^k m) is the k-th signed coefficient of the
-    characteristic polynomial, so the sum collapses to det(I - m):
-    evaluate charpoly at 1.
-    """
-    return charpoly(m)(1)

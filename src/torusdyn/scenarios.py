@@ -25,7 +25,7 @@ from .lattice import (
     TorsionPoint,
     is_analytic,
 )
-from .linalg import IntegerMatrix
+from .linalg import IntegerMatrix, smith_normal_form
 from .quotient import GroupAction
 
 
@@ -70,6 +70,16 @@ class Scenario:
                 raise ValueError("subvariety basis rows do not match the torus")
             if len(self.subvariety.translate) != self.torus.rank:
                 raise ValueError("subvariety translate does not match the torus")
+            # J B must lie in the span of B: with U B V = D the Smith form
+            # of B, the rows k.. of U J B vanish (J's numerators suffice)
+            basis, J = self.subvariety.basis, self.torus.complex_structure
+            if J is not None:
+                image = (smith_normal_form(basis).U * J * basis).to_lists()
+                if any(any(row) for row in image[basis.cols :]):
+                    raise ValueError(
+                        "subvariety basis does not span a complex subtorus"
+                        " (J B is not in the span of B)"
+                    )
 
 
 # ---------------------------------------------------------------------------

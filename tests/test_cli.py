@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import shlex
 from fractions import Fraction
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 from torusdyn import (
     IntegerMatrix,
     TorsionPoint,
+    charpoly,
     count_fixed,
     enumerate_fixed,
-    exterior_trace_sum,
 )
 from torusdyn import fixpoint, quotient as quotient_mod
 from torusdyn.cli import COMMANDS, FLAGS, VERIFY_TARGETS, Options, main, run_command
 from torusdyn.report import Report, parse_csv, render_csv
 from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
+
+from oracles import random_unimodular
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +281,47 @@ class TestSubvariety:
             _, rows = parse_csv(out)
             assert [row[:3] for row in rows] == want
 
+    # J0 + J0 on E x E (J = S) with M = diag(2, 2, -2, -2)
+    TWO_CURVES = {
+        "name": "two-curves",
+        "torus": {"g": 2, "J": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
+        "endomorphism": {"M": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]},
+    }
+
+    def two_curves_file(self, tmp_path, basis) -> str:
+        data = json.loads(json.dumps(self.TWO_CURVES))
+        data["torus"]["S"] = data["torus"]["J"]
+        data["endomorphism"]["analytic"] = True
+        data["subvariety"] = {"basis": basis}
+        path = tmp_path / "two-curves.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_real_subtorus_is_1(self, tmp_path, capsys):
+        # span(e1, e3) takes one real direction from each curve: it is
+        # invariant and saturated, but not a complex subtorus
+        path = self.two_curves_file(tmp_path, [[1, 0], [0, 0], [0, 1], [0, 0]])
+        code, out, err = run_cli(capsys, "subvariety", "--scenario", path, "--lmax", "3")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: subvariety basis does not span a complex subtorus"
+            " (J B is not in the span of B)\n"
+        )
+
+    def test_j_stable_random_basis_is_counted(self, tmp_path, capsys):
+        # span(e1, e2), the first curve, in a random basis: [2] on it
+        rng = random.Random(149)
+        for _ in range(5):
+            u = random_unimodular(rng, 2).to_lists()
+            basis = [*u, [0, 0], [0, 0]]
+            path = self.two_curves_file(tmp_path, basis)
+            code, out, err = run_cli(
+                capsys, "subvariety", "--scenario", path, "--lmax", "3", "--format", "csv"
+            )
+            assert code == 0, err
+            _, rows = parse_csv(out)
+            assert [row[:2] for row in rows] == [("1", "1"), ("2", "9"), ("3", "49")]
+
 
 class TestVerify:
     def test_all_flag_reports_polarization(self, capsys):
@@ -298,7 +342,7 @@ class TestVerify:
         gaussian = resolve_scenario("gaussian-cm").endomorphism
         l = 20000
         want = (
-            f"l = {l}; lefschetz = {exterior_trace_sum(gaussian.matrix**l)};"
+            f"l = {l}; lefschetz = {charpoly(gaussian.matrix**l)(1)};"
             f" fixed points = {count_fixed(gaussian, l)}"
         )
         exponents = []

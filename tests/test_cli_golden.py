@@ -3,9 +3,11 @@
 cli_golden.json holds, for each command line of COMMAND_LINES, the exit
 code and the exact stdout, as a table and as CSV, at small sizes; `count
 --l 1100` takes every builtin past count_fixed's bit bound, onto the
-charpoly path.  Any change to what the CLI prints fails here.  To record
-an intended change, run `PYTHONPATH=src python tests/test_cli_golden.py`,
-which rewrites the JSON, and review its diff.
+charpoly path, and `verify lefschetz --l 1100` pins the Lefschetz number
+read from that path against Bareiss on M^l.  Any change to what the CLI
+prints fails here.  To record an intended change, run
+`PYTHONPATH=src python tests/test_cli_golden.py`, which rewrites the
+JSON, and review its diff.
 """
 
 import contextlib

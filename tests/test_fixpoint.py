@@ -19,15 +19,21 @@ from torusdyn import (
     det,
     eigenvalue_magnitude_check,
     enumerate_fixed,
-    exterior_trace_sum,
     factor_product_formula,
     fixpoint,
     growth_table,
     periodic_subvariety_count,
     power,
 )
+from torusdyn import linalg
 from torusdyn.lattice import complementary_isogeny
-from torusdyn.linalg import NonSquareMatrixError, power_bits
+from torusdyn.linalg import (
+    IntegerPolynomial,
+    NonSquareMatrixError,
+    charpoly,
+    charpoly_power,
+    power_bits,
+)
 from torusdyn.scenarios import resolve_scenario
 
 from oracles import random_matrix, random_nonsingular, random_unimodular
@@ -174,14 +180,16 @@ class TestLargeIterates:
 
         monkeypatch.setattr(IntegerMatrix, "__pow__", counted("powers", IntegerMatrix.__pow__))
         monkeypatch.setattr(fixpoint, "det", counted("dets", fixpoint.det))
-        monkeypatch.setattr(fixpoint, "power_mod", counted("power_mod", fixpoint.power_mod))
+        monkeypatch.setattr(
+            fixpoint, "charpoly_power", counted("charpoly_power", fixpoint.charpoly_power)
+        )
         assert [power_bits(GAUSSIAN.matrix, l) for l in (1023, 1024)] == [1024, 1025]
         assert fixpoint._BAREISS_MAX_BITS == 1024
         assert count_fixed(GAUSSIAN, 1023) == gaussian_count(1023)
         assert calls == {"powers": 1, "dets": 1}
         calls.clear()
         assert count_fixed(GAUSSIAN, 1024) == gaussian_count(1024)
-        assert calls == {"power_mod": 1}
+        assert calls == {"charpoly_power": 1}
 
     @pytest.mark.parametrize("l", (2.0, 2.5, "3"))
     def test_iterate_must_be_an_integer(self, l):
@@ -261,25 +269,46 @@ class TestSplitSpectrum:
         # charpoly (x - 2)^6: every row and every count is (2^l - 1)^6
         f = resolve_scenario("mult-by-2-g3").endomorphism
         calls = Counter()
-        for name in ("power_sums", "power_sum_polynomial", "power_mod"):
-            original = getattr(fixpoint, name)
+        for module, name in (
+            (fixpoint, "power_sums"),
+            (fixpoint, "power_sum_polynomial"),
+            (linalg, "power_mod"),
+        ):
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(fixpoint, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rows = list(fixpoint.iterate_determinants(f, 80))
         assert rows == [(l, (2**l - 1) ** 6) for l in range(1, 81)]
         assert count_fixed(f, 1100) == (2**1100 - 1) ** 6
-        # count_fixed's single factor x - 2 has no x^l mod (x - 2) formed; the
-        # one Newton call is the empty sum's constant 1
-        assert calls == {"power_sum_polynomial": 1}
+        # count_fixed's single factor x - 2 has no x^l mod (x - 2) formed
+        assert not calls
 
-    @pytest.mark.parametrize("b", (0, 1, -1, 2, -2, 3, -3, 6, -12, 64, -96, 2**70 * 3))
-    @pytest.mark.parametrize("l", (1, 2, 3, 7, 64, 1001))
-    def test_shifted_power(self, b, l):
-        assert fixpoint._shifted_power(b, l) == b**l
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_seed_rows_are_charpoly_powers(self, monkeypatch, degree):
+        # _factor_rows builds its seed rows from one shared power_sums walk
+        # for speed; seed l is charpoly_power(a, l) without its constant term
+        rng = random.Random(139 + degree)
+        seeded = math.comb(degree, degree // 2)
+        built = []
+
+        def recorded(sums, original=fixpoint.power_sum_polynomial):
+            built.append(original(sums))
+            return built[-1]
+
+        monkeypatch.setattr(fixpoint, "power_sum_polynomial", recorded)
+        for _ in range(5):
+            a = IntegerPolynomial((*(rng.randint(-9, 9) for _ in range(degree)), 1))
+            built.clear()
+            next(fixpoint._factor_rows(a, seeded))
+            # the seed rows come first, then one polynomial per inner column
+            assert len(built) == seeded + degree - 1
+            assert [p.coefficients for p in built[:seeded]] == [
+                charpoly_power(a, l).coefficients[1:] for l in range(1, seeded + 1)
+            ]
 
 
 class TestEnumerateFixed:
@@ -348,7 +377,7 @@ class TestEnumerateFixed:
         ):
             enumerate_fixed(mult(2, 2), 5, budget=923520)
         with pytest.raises(BudgetExceededError):  # 63^4 > DEFAULT_BUDGET
-            fixpoint.fixed_grid(mult(2, 2), 6)
+            fixpoint.fixed_columns(mult(2, 2), 6)
         assert smith_calls == []
 
     def test_budget_is_inclusive(self):
@@ -360,7 +389,7 @@ class TestEnumerateFixed:
         with pytest.raises(
             AssertionError, match=re.escape("echelon basis of index 4 but |det(M^1 - I)| = 8")
         ):
-            fixpoint.fixed_grid(mult(3), 1)
+            fixpoint.fixed_columns(mult(3), 1)
 
 
 class TestBruteForce:
@@ -547,32 +576,39 @@ class TestCompareExact:
         assert a == b
 
 
+def lefschetz(m: IntegerMatrix, l: int = 1) -> int:
+    """L(f^l) = charpoly(M^l)(1) = (-1)^n det(M^l - I), as verify
+    lefschetz reads it: from the split of charpoly(M), no power of M."""
+    return (-1) ** m.rows * fixpoint._determinant_from_charpoly(m, l)
+
+
 class TestLefschetz:
     def test_mult_2(self):
-        assert exterior_trace_sum(mult(2).matrix) == 1
+        assert lefschetz(mult(2).matrix) == 1
 
     def test_mult_3(self):
-        assert exterior_trace_sum(mult(3).matrix) == 4
+        assert lefschetz(mult(3).matrix) == 4
 
     def test_zero_map(self):
-        assert exterior_trace_sum(IntegerMatrix.zero(2, 2)) == 1
+        assert lefschetz(IntegerMatrix.zero(2, 2)) == 1
 
     def test_non_square_refused_by_charpoly(self):
         with pytest.raises(
             NonSquareMatrixError, match="^characteristic polynomial needs a square matrix$"
         ):
-            exterior_trace_sum(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            lefschetz(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
     def test_absolute_value_matches_count(self):
         rng = random.Random(21)
         for _ in range(20):
             f = LatticeEndomorphism(random_nonsingular(rng, 4))
             for l in (1, 2):
+                assert lefschetz(f.matrix, l) == charpoly(f.matrix**l)(1)
                 try:
                     expected = count_fixed(f, l)
                 except DegenerateFixedLocusError:
                     continue
-                assert abs(exterior_trace_sum(f.matrix**l)) == expected
+                assert abs(lefschetz(f.matrix, l)) == expected
 
 
 class TestEigenvalueMagnitude:

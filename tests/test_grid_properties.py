@@ -5,7 +5,7 @@ det(M - I) = +-prod(d) is known by construction, plus a translation of a
 random denominator.  Enumeration, the determinant count, the brute-force
 grid scan and the per-point scan of tests/oracles.py must agree, and the
 orbit classes must match the Fraction oracle.  The sorted echelon walk
-behind fixed_grid and enumerate_fixed must give exactly the points of
+behind fixed_columns and enumerate_fixed must give exactly the points of
 the Smith-axis walk of tests/oracles.py, on those maps, on product
 groups (V = I) and on cyclic groups over a large denominator.  The exterior-power
 recurrences behind the growth and compare tables must match det(M**l - I)
@@ -427,9 +427,10 @@ def cyclic_group_maps(draw) -> LatticeEndomorphism:
 
 
 def assert_walk_matches_oracle(f: LatticeEndomorphism, l: int = 1) -> int:
-    """fixed_grid and enumerate_fixed against the Smith-axis walk; returns N."""
+    """fixed_columns and enumerate_fixed against the Smith-axis walk; returns N."""
     common, grid = fixed_grid_smith_walk(f, l)
-    assert fixpoint.fixed_grid(f, l) == (common, grid)
+    n, columns = fixpoint.fixed_columns(f, l)
+    assert (n, list(zip(*columns))) == (common, grid)
     assert enumerate_fixed(f, l) == [
         TorsionPoint(tuple(Fraction(v, common) for v in a)) for a in grid
     ]

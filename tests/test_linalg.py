@@ -10,7 +10,6 @@ from torusdyn import (
     IntegerPolynomial,
     charpoly,
     det,
-    exterior_trace_sum,
     pfaffian,
     smith_normal_form,
 )
@@ -18,6 +17,7 @@ from torusdyn import linalg
 from torusdyn.linalg import (
     NonSquareMatrixError,
     SkewSymmetryError,
+    charpoly_power,
     echelon_basis,
     power_bits,
     power_mod,
@@ -719,6 +719,68 @@ class TestSquarefreeFactors:
             squarefree_factors(IntegerPolynomial(p))
 
 
+def charpoly_power_cases():
+    """Seeded n <= 7 matrices, labelled by kind: dense, singular, scalar,
+    negative-determinant, and block-diagonal with repeated blocks, whose
+    splits hold repeated and degree-1 factors."""
+    rng = random.Random(131)
+    for n in range(1, 8):
+        for j in range(20):
+            yield f"dense n={n} #{j}", random_matrix(rng, n)
+        rows = random_matrix(rng, n).to_lists()
+        rows[-1] = rows[0]
+        yield f"singular n={n}", IntegerMatrix.from_rows(rows)
+        yield f"scalar n={n}", IntegerMatrix.scalar(n, rng.choice((-3, -2, -1, 0, 1, 2, 3)))
+        m = random_matrix(rng, n)
+        while det(m) >= 0:
+            m = random_matrix(rng, n)
+        yield f"negative determinant n={n}", m
+    for j in range(6):
+        block = random_matrix(rng, 2)
+        scalar = IntegerMatrix.scalar(1, rng.randint(-3, 3))
+        yield f"repeated blocks #{j}", IntegerMatrix.block_diagonal([block, block, scalar, scalar])
+
+
+class TestCharpolyPower:
+    def test_split_powers_multiply_to_charpoly_of_the_power(self):
+        rng = random.Random(137)
+        kinds = Counter()
+        for label, m in charpoly_power_cases():
+            split = squarefree_factors(charpoly(m))
+            kinds["degree 1"] += any(len(a.coefficients) == 2 for a, _ in split)
+            kinds["repeated"] += any(i > 1 for _, i in split)
+            for l in (1, 2, 3, rng.randint(4, 30)):
+                got = power_product((charpoly_power(a, l), i) for a, i in split)
+                assert got == charpoly(m**l), (label, l)
+        assert kinds["degree 1"] and kinds["repeated"]
+
+    def test_degree_one_forms_no_power_mod(self, monkeypatch):
+        monkeypatch.setattr(linalg, "power_mod", None)
+        for a in (-3, -1, 0, 1, 2, 7):
+            for l in (1, 2, 3, 10, 101):
+                assert charpoly_power(IntegerPolynomial((-a, 1)), l) == IntegerPolynomial((-(a**l), 1))
+
+    def test_refuses_a_polynomial_that_is_not_monic(self):
+        for coefficients in ((0,), (1,), (1, 2), (3, 0, -1)):
+            with pytest.raises(ValueError, match="monic polynomial of degree >= 1"):
+                charpoly_power(IntegerPolynomial(coefficients), 3)
+
+    @pytest.mark.parametrize("l", (0, -1, -5))
+    def test_refuses_an_exponent_below_one(self, l):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            charpoly_power(IntegerPolynomial((2, -3, 1)), l)
+
+    @pytest.mark.parametrize("l", (2.0, 2.5, "3"))
+    def test_exponent_must_be_an_integer(self, l):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            charpoly_power(IntegerPolynomial((2, -3, 1)), l)
+
+    @pytest.mark.parametrize("b", (0, 1, -1, 2, -2, 3, -3, 6, -12, 64, -96, 2**70 * 3))
+    @pytest.mark.parametrize("l", (1, 2, 3, 7, 64, 1001))
+    def test_shifted_power(self, b, l):
+        assert linalg._shifted_power(b, l) == b**l
+
+
 class TestPowerBits:
     @pytest.mark.parametrize(
         "rows, per_iterate",
@@ -796,13 +858,22 @@ class TestPfaffian:
             pfaffian(IntegerMatrix.identity(2))
 
 
+def lefschetz_number(m: IntegerMatrix) -> int:
+    """sum_k (-1)^k tr(wedge^k m) = charpoly(m)(1), read off the split
+    charpoly(m) = prod_i a_i^i as prod_i charpoly_power(a_i, 1)(1)^i, the
+    algebra of the production path at l = 1."""
+    return math.prod(
+        charpoly_power(a, 1)(1) ** i for a, i in squarefree_factors(charpoly(m))
+    )
+
+
 class TestExteriorTraceSum:
     def test_zero_matrix(self):
         # only the wedge^0 term survives
-        assert exterior_trace_sum(IntegerMatrix.zero(2, 2)) == 1
+        assert lefschetz_number(IntegerMatrix.zero(2, 2)) == 1
 
     def test_twice_identity(self):
-        assert exterior_trace_sum(IntegerMatrix.scalar(2, 2)) == 1
+        assert lefschetz_number(IntegerMatrix.scalar(2, 2)) == 1
 
     def test_matches_minor_sum_oracle(self):
         rng = random.Random(77)
@@ -811,12 +882,12 @@ class TestExteriorTraceSum:
             expected = sum(
                 (-1) ** k * principal_minor_trace(m.to_lists(), k) for k in range(5)
             )
-            assert exterior_trace_sum(m) == expected
+            assert lefschetz_number(m) == expected
 
     @pytest.mark.parametrize("label", list(CHARPOLY_CASES))
     def test_equals_bareiss_det_i_minus_m(self, label):
         m = CHARPOLY_CASES[label]
-        assert exterior_trace_sum(m) == det(IntegerMatrix.identity(m.rows) - m)
+        assert lefschetz_number(m) == det(IntegerMatrix.identity(m.rows) - m)
 
     def test_equals_det_i_minus_m(self):
         rng = random.Random(78)
@@ -824,7 +895,7 @@ class TestExteriorTraceSum:
             for _ in range(10):
                 m = random_matrix(rng, n)
                 i_minus = IntegerMatrix.identity(n) - m
-                assert exterior_trace_sum(m) == det_cofactor(i_minus.to_lists())
+                assert lefschetz_number(m) == det_cofactor(i_minus.to_lists())
 
 
 class TestPolynomialAndMatrixBasics:

@@ -1,8 +1,11 @@
 import json
+import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusdyn import (
@@ -126,6 +129,35 @@ class TestSchemaValidation:
         data["action"] = [{"U": [["2", "0"], ["0", "2"]], "s": ["0", "0"]}]
         with pytest.raises(ScenarioError, match="unimodular"):
             scenario_from_dict(data)
+
+    def test_subvariety_must_span_a_complex_subtorus(self):
+        # on E x E with J = J0 + J0, span(B) is a complex subtorus exactly
+        # when rank [B | J B] = rank B (numpy's rank of small integers)
+        rng = random.Random(151)
+        j = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        verdicts = Counter()
+        for _ in range(60):
+            v = np.array([rng.randint(-3, 3) for _ in range(4)])
+            w = np.array([rng.randint(-3, 3) for _ in range(4)])
+            if rng.random() < 0.5:
+                w = rng.randint(-2, 2) * v + rng.choice((-1, 1)) * (j @ v)
+            basis = np.column_stack([v, w])
+            if np.linalg.matrix_rank(basis) < 2:
+                continue
+            stable = np.linalg.matrix_rank(np.hstack([basis, j @ basis])) == 2
+            data = {
+                "name": "random-basis",
+                "torus": {"g": 2, "J": j.tolist(), "S": j.tolist()},
+                "endomorphism": {"M": (2 * np.eye(4, dtype=int)).tolist()},
+                "subvariety": {"basis": basis.tolist()},
+            }
+            verdicts[stable] += 1
+            if stable:
+                assert scenario_from_dict(data).subvariety.basis.to_lists() == basis.tolist()
+            else:
+                with pytest.raises(ScenarioError, match="^subvariety basis does not span"):
+                    scenario_from_dict(data)
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
 
     def test_factor_invariants(self):
         data = minimal_dict()
