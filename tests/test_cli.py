@@ -281,18 +281,16 @@ class TestSubvariety:
             _, rows = parse_csv(out)
             assert [row[:3] for row in rows] == want
 
-    # J0 + J0 on E x E (J = S) with M = diag(2, 2, -2, -2)
-    TWO_CURVES = {
-        "name": "two-curves",
-        "torus": {"g": 2, "J": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
-        "endomorphism": {"M": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]},
-    }
-
     def two_curves_file(self, tmp_path, basis) -> str:
-        data = json.loads(json.dumps(self.TWO_CURVES))
-        data["torus"]["S"] = data["torus"]["J"]
-        data["endomorphism"]["analytic"] = True
-        data["subvariety"] = {"basis": basis}
+        """E x E with J = S = J0 + J0 and M = diag(2, 2, -2, -2)."""
+        j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+        m = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
+        data = {
+            "name": "two-curves",
+            "torus": {"g": 2, "J": j, "S": j},
+            "endomorphism": {"M": m, "analytic": True},
+            "subvariety": {"basis": basis},
+        }
         path = tmp_path / "two-curves.json"
         path.write_text(json.dumps(data))
         return str(path)
