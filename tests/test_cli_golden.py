@@ -1,7 +1,8 @@
-"""Golden stdout and exit code of every subcommand on the six builtins.
+"""Golden stdout, stderr and exit code of every subcommand on the six builtins.
 
 cli_golden.json holds, for each command line of COMMAND_LINES, the exit
-code and the exact stdout, as a table and as CSV, at small sizes; `count
+code, the exact stdout and the exact stderr (notes, warnings and refusal
+messages), as a table and as CSV, at small sizes; `count
 --l 1100` takes every builtin past count_fixed's bit bound, onto the
 charpoly path, and `verify lefschetz --l 1100` pins the Lefschetz number
 read from that path against Bareiss on M^l.  Any change to what the CLI
@@ -53,10 +54,10 @@ COMMAND_LINES = [
 
 
 def run(line: str) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(line.split())
-    return {"exit": code, "stdout": out.getvalue()}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def test_every_command_is_covered():
@@ -69,7 +70,7 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("line", COMMAND_LINES)
-def test_stdout_and_exit_code_match(golden, line):
+def test_stdout_stderr_and_exit_code_match(golden, line):
     assert run(line) == golden[line]
 
 
