@@ -46,7 +46,6 @@ from .lattice import (
     is_analytic,
     polarization_multiplier,
     power,
-    product,
     restrict_to_sublattice,
     solve_mod_lattice,
 )

@@ -89,12 +89,9 @@ def _echo(command: str, reference: str, opts: Options) -> str:
     return shlex.join(words)
 
 
-def _strings(*cells) -> tuple[str, ...]:
-    return tuple(map(str, cells))
-
-
-def _growth_rows(table) -> tuple[tuple[str, ...], ...]:
-    return tuple(_strings(r.l, r.exact_count, r.asymptote, r.ratio) for r in table)
+def _cells(rows) -> tuple[tuple[str, ...], ...]:
+    """The printed cells of table rows, each row's values in column order."""
+    return tuple(tuple(map(str, row)) for row in rows)
 
 
 # Each runner returns (headers, rows[, warnings[, notes]]) for run_command
@@ -103,7 +100,7 @@ def _growth_rows(table) -> tuple[tuple[str, ...], ...]:
 
 def _run_count(scenario: Scenario, opts: Options):
     value = fixpoint.count_fixed(scenario.endomorphism, opts.l)
-    return ("l", "fixed_points"), (_strings(opts.l, value),)
+    return ("l", "fixed_points"), _cells([(opts.l, value)])
 
 
 def _run_enumerate(scenario: Scenario, opts: Options):
@@ -119,7 +116,7 @@ def _run_enumerate(scenario: Scenario, opts: Options):
 def _run_growth(scenario: Scenario, opts: Options):
     q = _require_multiplier(scenario)
     table = fixpoint.growth_table(scenario.endomorphism, q, scenario.torus.g, opts.lmax)
-    return ("l", "exact_count", "asymptote", "ratio"), _growth_rows(table)
+    return fixpoint.GrowthRow._fields, _cells(table)
 
 
 def _run_compare(scenario: Scenario, opts: Options):
@@ -128,10 +125,8 @@ def _run_compare(scenario: Scenario, opts: Options):
             f"scenario {scenario.name!r} declares no simple factors to compare against"
         )
     report = fixpoint.compare_exact(scenario.endomorphism, scenario.factors, opts.lmax)
-    rows = tuple(
-        _strings(r.l, "degenerate", r.formula_value, "")
-        if r.degenerate
-        else _strings(r.l, r.exact_count, r.formula_value, r.difference)
+    rows = _cells(
+        (r.l, "degenerate", r.formula_value, "") if r.degenerate else r
         for r in report.rows
     )
     warnings = tuple(
@@ -139,8 +134,8 @@ def _run_compare(scenario: Scenario, opts: Options):
         for r in report.rows
         if r.degenerate
     )
-    headers = ("l", "exact_count", "formula_value", "difference")
-    return headers, rows, warnings, (f"formula: {report.formula_label}",)
+    notes = (f"formula: {report.formula_label}",)
+    return fixpoint.ComparisonRow._fields, rows, warnings, notes
 
 
 def _run_quotient(scenario: Scenario, opts: Options):
@@ -152,15 +147,7 @@ def _run_quotient(scenario: Scenario, opts: Options):
         bounds = [quotient_mod.quotient_fixed_lower_bound(f, action, q, opts.l)]
     else:
         bounds = quotient_mod.quotient_table(f, action, q, opts.lmax)
-    headers = (
-        "l",
-        "upstairs_count",
-        "group_order",
-        "orbit_count",
-        "lower_bound",
-        "formula_bound",
-    )
-    return headers, tuple(_strings(*(getattr(b, h) for h in headers)) for b in bounds)
+    return quotient_mod.QuotientBound._fields, _cells(bounds)
 
 
 def _run_subvariety(scenario: Scenario, opts: Options):
@@ -178,7 +165,7 @@ def _run_subvariety(scenario: Scenario, opts: Options):
     else:
         count = fixpoint.periodic_subvariety_count(*where, opts.l)
         table = [fixpoint.growth_row(opts.l, count, q, q ** (r * sub.period * opts.l))]
-    return ("l", "count_on_subvariety", "asymptote", "ratio"), _growth_rows(table)
+    return ("l", "count_on_subvariety", "asymptote", "ratio"), _cells(table)
 
 
 # Each check returns its rows as (label suffix, status, detail); the row

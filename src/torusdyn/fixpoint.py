@@ -33,7 +33,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,9 +79,9 @@ class RootFindingError(RuntimeError):
     """Numeric root isolation did not converge."""
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    """Exact count at iterate l next to the expected size q^{gl}."""
+class GrowthRow(NamedTuple):
+    """Exact count at iterate l next to the expected size q^{gl}; the
+    fields are the printed columns, in order."""
 
     l: int
     exact_count: int
@@ -89,13 +89,19 @@ class GrowthRow:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """Exact count at iterate l against the factor formula; the fields are
+    the printed columns, in order, and a degenerate iterate has no count
+    and no difference."""
+
     l: int
     exact_count: int | None
     formula_value: int
     difference: int | None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.exact_count is None
 
 
 @dataclass(frozen=True)
@@ -528,7 +534,7 @@ def compare_exact(
     for l, d in iterate_determinants(f, l_max):
         formula = factor_product_formula(factors, l)
         if d == 0:
-            rows.append(ComparisonRow(l, None, formula, None, degenerate=True))
+            rows.append(ComparisonRow(l, None, formula, None))
             continue
         exact = abs(d)
         rows.append(ComparisonRow(l, exact, formula, exact - formula))

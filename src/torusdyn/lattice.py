@@ -367,35 +367,6 @@ def polarization_multiplier(
     return q
 
 
-def product(
-    tori: Sequence[ComplexTorus], endos: Sequence[LatticeEndomorphism]
-) -> tuple[ComplexTorus, LatticeEndomorphism]:
-    """Block-diagonal product torus and endomorphism.
-
-    J and S are assembled only when every factor supplies one; J is put
-    over the lcm of the factors' denominators.
-    """
-    if not tori or len(tori) != len(endos):
-        raise ValueError("need equally many tori and endomorphisms, at least one")
-    for torus, endo in zip(tori, endos):
-        if torus.rank != endo.rank:
-            raise ValueError("factor endomorphism does not act on its torus")
-    g = sum(t.g for t in tori)
-    J, d = None, 1
-    if all(t.complex_structure is not None for t in tori):
-        d = math.lcm(*(t.complex_denominator for t in tori))
-        J = IntegerMatrix.block_diagonal(
-            [t.complex_structure * (d // t.complex_denominator) for t in tori]
-        )
-    S = None
-    if all(t.riemann_form is not None for t in tori):
-        S = IntegerMatrix.block_diagonal([t.riemann_form for t in tori])
-    torus = ComplexTorus(g, complex_structure=J, riemann_form=S, complex_denominator=d)
-    matrix = IntegerMatrix.block_diagonal([e.matrix for e in endos])
-    translation = tuple(c for e in endos for c in e.translation)
-    return torus, LatticeEndomorphism(matrix, translation)
-
-
 def solve_mod_lattice(
     a: IntegerMatrix, t: Sequence[Fraction]
 ) -> tuple[SmithDecomposition, tuple[Fraction, ...], bool]:

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fixpoint import check_multiplier, count_fixed, iterate_determinants, nondegenerate_count
 from .lattice import (
@@ -79,9 +79,9 @@ class LiftReport:
     failures: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class QuotientBound:
-    """Orbit count of the fixed set against the |G|-to-1 lower bound."""
+class QuotientBound(NamedTuple):
+    """Orbit count of the fixed set against the |G|-to-1 lower bound; the
+    fields are the printed columns, in order."""
 
     l: int
     upstairs_count: int

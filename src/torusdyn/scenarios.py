@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .fixpoint import periodic_subvariety_map
 from .intersection import standard_symplectic_form
 from .lattice import (
     ComplexTorus,
@@ -41,10 +42,6 @@ class SubvarietySpec:
     translate: TorsionPoint
     period: int
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -66,13 +63,19 @@ class Scenario:
         if self.action is not None and self.action.rank != self.torus.rank:
             raise ValueError("group action dimension does not match the torus")
         if self.subvariety is not None:
-            if self.subvariety.basis.rows != self.torus.rank:
-                raise ValueError("subvariety basis rows do not match the torus")
-            if len(self.subvariety.translate) != self.torus.rank:
-                raise ValueError("subvariety translate does not match the torus")
+            sub = self.subvariety
+            # the cached restriction that subvariety reads refuses a basis
+            # that is not saturated or not invariant, and a translate that
+            # is not periodic, here when the scenario is built
+            try:
+                periodic_subvariety_map(
+                    self.endomorphism, sub.basis, sub.translate, sub.period
+                )
+            except ValueError as exc:
+                raise ValueError(f"subvariety: {exc}") from exc
             # J B must lie in the span of B: with U B V = D the Smith form
             # of B, the rows k.. of U J B vanish (J's numerators suffice)
-            basis, J = self.subvariety.basis, self.torus.complex_structure
+            basis, J = sub.basis, self.torus.complex_structure
             if J is not None:
                 image = (smith_normal_form(basis).U * J * basis).to_lists()
                 if any(any(row) for row in image[basis.cols :]):
@@ -260,10 +263,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _parse_vector(sub.get("translate", ["0"] * n), "subvariety.translate", n)
         )
         period = _parse_int(sub.get("period", 1), "subvariety.period")
-        try:
-            subvariety = SubvarietySpec(basis=basis, translate=translate, period=period)
-        except ValueError as exc:
-            raise ScenarioError(f"subvariety: {exc}") from exc
+        subvariety = SubvarietySpec(basis=basis, translate=translate, period=period)
 
     try:
         return Scenario(

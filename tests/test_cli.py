@@ -281,7 +281,7 @@ class TestSubvariety:
             _, rows = parse_csv(out)
             assert [row[:3] for row in rows] == want
 
-    def two_curves_file(self, tmp_path, basis) -> str:
+    def two_curves_file(self, tmp_path, basis, translate=("0",) * 4) -> str:
         """E x E with J = S = J0 + J0 and M = diag(2, 2, -2, -2)."""
         j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
         m = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
@@ -289,7 +289,7 @@ class TestSubvariety:
             "name": "two-curves",
             "torus": {"g": 2, "J": j, "S": j},
             "endomorphism": {"M": m, "analytic": True},
-            "subvariety": {"basis": basis},
+            "subvariety": {"basis": basis, "translate": list(translate)},
         }
         path = tmp_path / "two-curves.json"
         path.write_text(json.dumps(data))
@@ -319,6 +319,28 @@ class TestSubvariety:
             assert code == 0, err
             _, rows = parse_csv(out)
             assert [row[:2] for row in rows] == [("1", "1"), ("2", "9"), ("3", "49")]
+
+    @pytest.mark.parametrize(
+        "basis, translate, reason",
+        [
+            # span(2 e1, 2 e2): J-stable and invariant, but of index 4 in its saturation
+            ([[2, 0], [0, 2], [0, 0], [0, 0]], ("0",) * 4, "basis is not saturated"),
+            # span(e1 + e3, e2 + e4): J-stable, but M moves it onto the antidiagonal
+            ([[1, 0], [0, 1], [1, 0], [0, 1]], ("0",) * 4, "sublattice is not invariant"),
+            # [2] sends the 2-torsion translate e1 / 2 to 0
+            ([[1, 0], [0, 1], [0, 0], [0, 0]], ("1/2", "0", "0", "0"), "translate is not periodic"),
+        ],
+    )
+    def test_bad_subvariety_is_refused_by_every_command(
+        self, tmp_path, capsys, basis, translate, reason
+    ):
+        # the scenario is refused when it is built, so count, which never
+        # reads the subvariety, refuses it as subvariety does
+        path = self.two_curves_file(tmp_path, basis, translate)
+        for argv in (("count", "--l", "2"), ("subvariety", "--l", "2")):
+            code, out, err = run_cli(capsys, *argv, "--scenario", path)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: subvariety: {reason}")
 
 
 class TestVerify:

@@ -70,7 +70,7 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("line", COMMAND_LINES)
-def test_stdout_stderr_and_exit_code_match(golden, line):
+def test_stdout_and_exit_code_match(golden, line):
     assert run(line) == golden[line]
 
 

@@ -24,7 +24,6 @@ from torusdyn import (
     is_analytic,
     polarization_multiplier,
     power,
-    product,
     resolve_scenario,
     restrict_to_sublattice,
     scenario_from_dict,
@@ -247,12 +246,6 @@ class TestComplexTorus:
         scenario = Scenario("random", torus, LatticeEndomorphism.identity(g), analytic=True)
         data = json.loads(json.dumps(scenario_to_dict(scenario)))
         assert scenario_from_dict(data) == scenario
-
-        other = ComplexTorus(1, *random_cm_structure(rng, 1))
-        ptorus, _ = product(
-            [torus, other], [LatticeEndomorphism.identity(g), LatticeEndomorphism.identity(1)]
-        )
-        assert ptorus.complex_denominator == math.lcm(e, other.complex_denominator)
 
     def test_g_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -609,32 +602,6 @@ class TestPolarizationMultiplier:
             torus = _cm_torus(g)
             q = polarization_multiplier(f, torus)
             assert degree(f) == q**g
-
-
-class TestProduct:
-    def test_single_factor_is_identity_operation(self):
-        torus = _cm_torus(1)
-        f = LatticeEndomorphism(GAUSSIAN)
-        ptorus, pf = product([torus], [f])
-        assert ptorus == torus
-        assert pf == f
-
-    def test_two_multiplication_factors(self):
-        torus = _cm_torus(1)
-        two = LatticeEndomorphism.multiplication_by(2, 1)
-        three = LatticeEndomorphism.multiplication_by(3, 1)
-        _, pf = product([torus, torus], [two, three])
-        assert pf.matrix == IntegerMatrix.diagonal([2, 2, 3, 3])
-
-    def test_equal_multipliers_survive_products(self):
-        torus = _cm_torus(1)
-        f = LatticeEndomorphism(GAUSSIAN)
-        ptorus, pf = product([torus, torus], [f, f])
-        assert polarization_multiplier(pf, ptorus) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            product([], [])
 
 
 class TestRestrictToSublattice:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -132,7 +134,9 @@ class TestSchemaValidation:
 
     def test_subvariety_must_span_a_complex_subtorus(self):
         # on E x E with J = J0 + J0, span(B) is a complex subtorus exactly
-        # when rank [B | J B] = rank B (numpy's rank of small integers)
+        # when rank [B | J B] = rank B (numpy's rank of small integers); B
+        # is saturated exactly when its 2 x 2 minors have gcd 1, and a basis
+        # that is not is refused first, by the restriction M = 2 I passes to
         rng = random.Random(151)
         j = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
         verdicts = Counter()
@@ -144,20 +148,27 @@ class TestSchemaValidation:
             basis = np.column_stack([v, w])
             if np.linalg.matrix_rank(basis) < 2:
                 continue
-            stable = np.linalg.matrix_rank(np.hstack([basis, j @ basis])) == 2
+            pairs = itertools.combinations(range(4), 2)
+            minors = [int(v[a] * w[b] - v[b] * w[a]) for a, b in pairs]
+            saturated = math.gcd(*minors) == 1
+            stable = bool(np.linalg.matrix_rank(np.hstack([basis, j @ basis])) == 2)
             data = {
                 "name": "random-basis",
                 "torus": {"g": 2, "J": j.tolist(), "S": j.tolist()},
                 "endomorphism": {"M": (2 * np.eye(4, dtype=int)).tolist()},
                 "subvariety": {"basis": basis.tolist()},
             }
-            verdicts[stable] += 1
-            if stable:
+            verdicts[saturated, stable] += 1
+            if not saturated:
+                with pytest.raises(ScenarioError, match="^subvariety: basis is not saturated"):
+                    scenario_from_dict(data)
+            elif stable:
                 assert scenario_from_dict(data).subvariety.basis.to_lists() == basis.tolist()
             else:
                 with pytest.raises(ScenarioError, match="^subvariety basis does not span"):
                     scenario_from_dict(data)
-        assert verdicts[True] >= 10 and verdicts[False] >= 10
+        unsaturated = verdicts[False, True] + verdicts[False, False]
+        assert verdicts[True, True] >= 10 and verdicts[True, False] >= 10 and unsaturated >= 10
 
     def test_factor_invariants(self):
         data = minimal_dict()
