@@ -599,8 +599,7 @@ def periodic_subvariety_map(
     if len(translate) != f.rank:
         raise ValueError("translate length must match the ambient rank")
     f_m = power(f, period)
-    image = f_m.value_at(translate.coordinates)
-    if image != translate.coordinates:
+    if f_m.value_at(translate) != translate:
         raise ValueError("translate is not periodic with the given period")
     recentred = LatticeEndomorphism(f_m.matrix)
     return restrict_to_sublattice(recentred, basis)

@@ -11,7 +11,6 @@ unimodular.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import gc
 import itertools
@@ -129,7 +128,7 @@ _NOT_CANONICAL = "coordinates must be canonical representatives in [0,1)"
 def collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector around a bulk build of acyclic objects.
 
-    Tuples of ints and slotted points can never form a reference cycle,
+    Tuples of ints and points of Fractions can never form a reference cycle,
     yet every one of them is tracked, so building tens of thousands of
     them triggers young and full collections that rescan the growing
     list for nothing.  Reference counting still frees them.  On every
@@ -164,23 +163,26 @@ def grid_residues(
     return residues
 
 
-@dataclass(frozen=True, slots=True)
-class TorsionPoint:
-    """Point of finite order: rational coordinates, each in [0,1).
+class TorsionPoint(tuple):
+    """Point of finite order: a tuple of Fractions, each in [0,1).
 
-    Slotted: a point holds its coordinate tuple and no __dict__.
+    The point is its coordinate tuple, so it equals, hashes and orders as
+    the plain tuple of its coordinates does; it holds no __dict__.
     """
 
-    coordinates: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = self.coordinates
-        if type(coords) is not tuple or not all(type(c) is Fraction for c in coords):
-            coords = tuple(exact_fraction(c) for c in coords)
-            object.__setattr__(self, "coordinates", coords)
-        for c in coords:
+    def __new__(cls, coordinates: Iterable) -> "TorsionPoint":
+        point = super().__new__(cls, map(exact_fraction, coordinates))
+        for c in point:
             if not 0 <= c.numerator < c.denominator:
                 raise ValueError(_NOT_CANONICAL)
+        return point
+
+    @property
+    def coordinates(self) -> "TorsionPoint":
+        """The point itself, not a copy."""
+        return self
 
     @classmethod
     def reduce(cls, vector: Sequence) -> "TorsionPoint":
@@ -196,23 +198,15 @@ class TorsionPoint:
         returns them; columns of unequal length raise ValueError.
         grid_residues checks each distinct numerator once and makes one
         Fraction for it, shared by every point that has it; each column is
-        mapped to its Fractions, the mapped columns are zipped into
-        coordinate tuples, and the points are made by object.__new__ and
-        filled through the coordinates slot, both by map, without
-        re-validating a coordinate, since each is one of those checked
-        residues.  All of it runs with the cyclic collector paused
-        (collector_paused).
+        mapped to its Fractions, and each zipped row of them becomes a
+        point by tuple.__new__, without re-validating a coordinate, since
+        each is one of those checked residues.  All of it runs with the
+        cyclic collector paused (collector_paused).
         """
         lookup = grid_residues(denominator, columns).__getitem__
         with collector_paused():
-            coordinates = list(zip(*[map(lookup, c) for c in columns], strict=True))
-            points = list(map(object.__new__, itertools.repeat(cls, len(coordinates))))
-            # the slot's own setter: what object.__setattr__ reaches, minus the lookup
-            collections.deque(map(cls.coordinates.__set__, points, coordinates), maxlen=0)
-        return points
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
+            rows = zip(*[map(lookup, c) for c in columns], strict=True)
+            return list(map(tuple.__new__, itertools.repeat(cls), rows))
 
 
 @dataclass(frozen=True)

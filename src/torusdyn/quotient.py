@@ -196,10 +196,9 @@ def orbit_partition(
     classified on that integer grid by _grid_classes; the TorsionPoints
     themselves are only handed back.
     """
-    common = math.lcm(*(c.denominator for p in points for c in p.coordinates))
+    common = math.lcm(*(c.denominator for p in points for c in p))
     numerators = [
-        tuple(c.numerator * (common // c.denominator) for c in p.coordinates)
-        for p in points
+        tuple(c.numerator * (common // c.denominator) for c in p) for p in points
     ]
     return [
         [points[i] for i in cls]

@@ -315,7 +315,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.subvariety is not None:
         data["subvariety"] = {
             "basis": int_matrix(scenario.subvariety.basis),
-            "translate": vector(scenario.subvariety.translate.coordinates),
+            "translate": vector(scenario.subvariety.translate),
             "period": str(scenario.subvariety.period),
         }
     return data
@@ -368,6 +368,8 @@ def _multiplication(m: int, g: int) -> dict:
         raise ScenarioError("mult-by-m needs m >= 2")
     if g < 1:
         raise ScenarioError("mult-by-m needs g >= 1")
+    if g > 512:  # before the 2g x 2g fields are built
+        raise ScenarioError("mult-by-m needs g <= 512")
     return {
         "torus": _cm_product(g),
         "endomorphism": {"M": _diagonal([m] * (2 * g)), "analytic": True},

@@ -12,13 +12,14 @@ bench/out/.
 
 import functools
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torusdyn
 import torusdyn.cli  # the cli-session jobs call torusdyn.cli.main
-from torusdyn import ComparisonRow, GrowthRow, QuotientBound
+from torusdyn import ComparisonRow, GrowthRow, QuotientBound, enumerate_fixed
 from torusdyn.cli import Options, run_command
 from torusdyn.scenarios import resolve_scenario
 
@@ -102,3 +103,13 @@ def test_a_comparison_row_is_degenerate_exactly_without_a_count():
 def test_table_headers_are_the_row_fields(command, scenario, row_type):
     report = run_command(command, resolve_scenario(scenario), Options(lmax=2))
     assert report.headers == row_type._fields
+
+
+def test_a_point_is_its_own_coordinates():
+    # point-sets' check holds [p.coordinates for p in result] beside the
+    # result, 50,625 points here; a copy per point would add 50,625 tuples
+    points = enumerate_fixed(resolve_scenario("diagonal-subvariety").endomorphism, 4)
+    assert len(points) == 15**4
+    assert all(p.coordinates is p for p in points)
+    assert all(isinstance(p, tuple) for p in points)
+    assert all(type(c) is Fraction for p in points for c in p)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import json
@@ -5,7 +6,6 @@ import math
 import pickle
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -288,18 +288,43 @@ class TestEndomorphismBasics:
         (built,) = TorsionPoint.from_grid(6, [(3,), (4,)])
         for p in (checked, built):
             assert not hasattr(p, "__dict__")
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 p.coordinates = (Fraction(0), Fraction(0))
-        assert TorsionPoint.__slots__ == ("coordinates",)
+            with pytest.raises(AttributeError):
+                p.label = "x"
+            with pytest.raises(TypeError):
+                p[0] = Fraction(0)
+            assert p == (HALF, Fraction(2, 3))
+        assert TorsionPoint.__slots__ == ()
 
-    def test_torsion_point_survives_pickle(self):
+    def test_torsion_point_is_its_coordinate_tuple(self):
+        checked = TorsionPoint((HALF, Fraction(2, 3)))
+        (built,) = TorsionPoint.from_grid(6, [(3,), (4,)])
+        for p in (checked, built):
+            assert isinstance(p, tuple)
+            assert p.coordinates is p
+            assert TorsionPoint(p) == tuple(p) == p
+            assert hash(TorsionPoint(p)) == hash(tuple(p)) == hash(p)
+            assert {tuple(p): 1}[p] == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_torsion_point_survives_copy_and_pickle(self, clone):
         points = [TorsionPoint((HALF, Fraction(2, 3)))] + TorsionPoint.from_grid(
             6, [(3, 0), (4, 5)]
         )
-        copies = pickle.loads(pickle.dumps(points))
+        copies = [clone(p) for p in points]
         assert copies == points
         assert [hash(p) for p in copies] == [hash(p) for p in points]
-        assert all(type(c) is Fraction for p in copies for c in p.coordinates)
+        assert all(type(p) is TorsionPoint for p in copies)
+        assert all(type(c) is Fraction for p in copies for c in p)
+        # each copy is made by TorsionPoint.__new__, which checks it again
+        forged = tuple.__new__(TorsionPoint, (Fraction(3, 2),))
+        with pytest.raises(ValueError, match=r"\[0,1\)"):
+            clone(forged)
 
     def test_grid_point_equals_and_hashes_like_checked_point(self):
         for n, a in ((15, (0, 3, 14, 7)), (2, (1, 0)), (1, (0, 0, 0, 0))):

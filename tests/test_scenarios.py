@@ -248,6 +248,8 @@ class TestBuiltins:
             ("mult-by-1", "^mult-by-m needs m >= 2$"),
             ("mult-by-0-g2", "^mult-by-m needs m >= 2$"),
             ("mult-by-2-g0", "^mult-by-m needs g >= 1$"),
+            ("mult-by-2-g513", "^mult-by-m needs g <= 512$"),
+            ("mult-by-2-g100000", "^mult-by-m needs g <= 512$"),
         ],
     )
     def test_mult_by_refusals(self, ref, refusal):
