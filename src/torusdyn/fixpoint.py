@@ -415,6 +415,20 @@ def enumerate_fixed(
     return TorsionPoint.from_grid(*fixed_columns(f, l, budget))
 
 
+def _half_residues(
+    k: IntegerMatrix, columns: range, start: Sequence[int], grid: int
+) -> list[list[int]]:
+    """Row i of start + K[:, columns] a mod grid, one list per row, over the
+    grid^len(columns) vectors a in [0, grid)^len(columns), the last
+    coordinate varying fastest."""
+    sums = [[s % grid] for s in start]
+    for j in columns:
+        for i, row in enumerate(sums):
+            multiples = [k[i, j] * a % grid for a in range(grid)]
+            sums[i] = [(p + m) % grid for p in row for m in multiples]
+    return sums
+
+
 def brute_force_count(
     f: LatticeEndomorphism, l: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
@@ -426,14 +440,16 @@ def brute_force_count(
     the Smith form, never its transforms, so the scan stays independent
     of fixed_columns; their product |det(K)| refuses a degenerate iterate as
     count_fixed does, with no Bareiss determinant.  A grid point a / G is
-    fixed when K a + G t = 0 mod G.  The residues of that sum over the
-    first n - 1 coordinates are built one coordinate at a time, as one
-    list of residues per row of K, and each prefix zipped from those lists
-    is matched against a Counter of the residues -K[:, n-1] a_{n-1} of the
-    last coordinate, so every one of the G^n grid points is accounted for.
-    The match is dict.get with a default of 0, so a prefix that no last
-    coordinate completes costs no call to Counter.__missing__.
-    Refuses (never truncates) past the budget.
+    fixed when K a + G t = 0 mod G.  The scan meets in the middle: with
+    h = n // 2, the residues of K[:, :h] a + G t over the G^h first halves
+    a_0..a_(h-1) are built one coordinate at a time, as one list of
+    residues per row of K, and each first half zipped from those lists is
+    matched against a Counter of the residues -K[:, h:] a over the
+    G^(n-h) second halves a_h..a_(n-1), so every one of the G^n grid
+    points is accounted for in O(n G^ceil(n/2)) work and memory.  The
+    match is dict.get with a default of 0, so a first half that no second
+    half completes costs no call to Counter.__missing__.  Refuses (never
+    truncates) past the budget, which counts the G^n grid points.
     """
     f_l = power(f, l)
     k = f_l.matrix - IntegerMatrix.identity(f.rank)
@@ -447,16 +463,10 @@ def brute_force_count(
         raise BudgetExceededError(
             f"grid of {grid}^{n} points exceeds budget {budget}"
         )
-    # sums[i] lists row i of K a + G t over the prefixes a_0..a_{n-2}
-    sums = [[int(grid * c) % grid] for c in t_l]
-    for j in range(n - 1):
-        for i in range(n):
-            multiples = [k[i, j] * a % grid for a in range(grid)]
-            sums[i] = [(p + m) % grid for p in sums[i] for m in multiples]
-    last = Counter(
-        tuple(-k[i, n - 1] * a % grid for i in range(n)) for a in range(grid)
-    )
-    return sum(map(last.get, zip(*sums), itertools.repeat(0)))
+    h = n // 2
+    first = _half_residues(k, range(h), [int(grid * c) for c in t_l], grid)
+    second = Counter(zip(*_half_residues(-k, range(h, n), [0] * n, grid)))
+    return sum(map(second.get, zip(*first), itertools.repeat(0)))
 
 
 def growth_row(l: int, count: int, q: int, asymptote: int) -> GrowthRow:

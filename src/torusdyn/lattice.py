@@ -156,7 +156,7 @@ def grid_residues(
     refuses a coordinate outside [0,1).
     """
     residues = {}
-    for v in set(itertools.chain.from_iterable(numerators)):
+    for v in set().union(*numerators):
         if not 0 <= v < denominator:
             raise ValueError(_NOT_CANONICAL)
         residues[v] = Fraction(v, denominator)

@@ -70,6 +70,10 @@ def binary_power(base, exponent: int, product):
         base = product(base, base)
 
 
+# the entry types IntegerMatrix.apply puts over one denominator
+_RATIONAL_TYPES = frozenset({int, Fraction})
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Immutable integer matrix, entries row-major."""
@@ -214,10 +218,25 @@ class IntegerMatrix:
         return binary_power(self, exponent, operator.mul)
 
     def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector; entries may be ints or Fractions."""
+        """Matrix times column vector.
+
+        A vector of ints and Fractions with at least one Fraction is put
+        over one denominator d, the lcm of its entries' denominators: each
+        row is one integer dot product with the numerators, and each entry
+        one Fraction(dot, d).  Every entry of the result is then a
+        Fraction, even one whose denominator is 1, as the Fraction dot
+        product gives.  A vector of ints gives ints, and any other vector,
+        one with a float say, takes the plain dot product and its types.
+        """
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
+        rows = map(self.row, range(self.rows))
+        kinds = set(map(type, vector))
+        if Fraction in kinds and kinds <= _RATIONAL_TYPES:
+            d = math.lcm(*(v.denominator for v in vector))
+            numerators = [v.numerator * (d // v.denominator) for v in vector]
+            return tuple(Fraction(sum(map(operator.mul, row, numerators)), d) for row in rows)
+        return tuple(sum(map(operator.mul, row, vector)) for row in rows)
 
     def is_skew_symmetric(self) -> bool:
         return self.is_square and self == -self.transpose()

@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fixpoint import periodic_subvariety_map
-from .intersection import standard_symplectic_form
 from .lattice import (
     ComplexTorus,
     LatticeEndomorphism,
@@ -352,9 +351,12 @@ def _cm_product(g: int) -> dict:
 
     On each curve multiplication by i and the Riemann form are the same
     integer block [[0, -1], [1, 0]], so both are the standard symplectic
-    form.
+    form: -1 at (2k, 2k + 1) and 1 at (2k + 1, 2k).
     """
-    blocks = standard_symplectic_form(g).to_lists()
+    blocks = [[0] * (2 * g) for _ in range(2 * g)]
+    for k in range(0, 2 * g, 2):
+        blocks[k][k + 1] = -1
+        blocks[k + 1][k] = 1
     return {"g": g, "J": blocks, "S": blocks}
 
 
@@ -445,6 +447,8 @@ def resolve_scenario(ref: str) -> Scenario:
         raise ScenarioError("empty scenario reference")
     match = _MULT_PATTERN.match(ref)
     if match:
+        # the name's digits may run past the default int <-> str cap
+        lift_int_digit_limit()
         m, g = int(match[1]), int(match[2] or 1)
         ref = f"mult-by-{m}" if g == 1 else f"mult-by-{m}-g{g}"
         fields = _multiplication(m, g)

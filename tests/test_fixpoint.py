@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -417,6 +418,19 @@ class TestBruteForce:
                 continue
             assert brute_force_count(f, 2, budget=10**6) == expected
             checked += 1
+
+    def test_rank_six_scan_memory(self):
+        # 20^6 = 6.4 * 10^7 grid points in two halves of 20^3 (under 1 MiB);
+        # 6 lists of 20^5 residues, the first n - 1 coordinates, took 158 MiB
+        f = LatticeEndomorphism(IntegerMatrix.scalar(6, 21))
+        tracemalloc.start()
+        try:
+            count = brute_force_count(f, 1, budget=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_fixed(f, 1) == 20**6
+        assert peak < 8 * 2**20
 
     def test_translated_grid_refinement(self):
         # the solution x = (2/3, 0) lies outside the kernel grid (D = 1),

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -963,3 +964,61 @@ class TestPolynomialAndMatrixBasics:
         assert random_skew(random.Random(5), 6).is_skew_symmetric()
         # skew but for one diagonal entry
         assert not IntegerMatrix.from_rows([[0, 1], [-1, 1]]).is_skew_symmetric()
+
+
+def fraction_dot(m: IntegerMatrix, vector) -> tuple[Fraction, ...]:
+    """m times vector with every product and sum taken in Fractions."""
+    return tuple(
+        sum((Fraction(a) * Fraction(v) for a, v in zip(m.row(i), vector)), Fraction(0))
+        for i in range(m.rows)
+    )
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """A Fraction with a signed numerator and a signed denominator, each up to
+    10^30, or a small denominator, so that both lcm regimes show."""
+    denominator = rng.choice([1, 2, 6, 12, rng.randint(1, 10**30)]) * rng.choice([1, -1])
+    return Fraction(rng.randint(-(10**30), 10**30), denominator)
+
+
+class TestApply:
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_matches_the_fraction_dot_product(self, kind):
+        rng = random.Random(2024)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = IntegerMatrix(rows, cols, tuple(rng.randint(-(10**6), 10**6) for _ in range(rows * cols)))
+            if kind == "int":
+                vector = [rng.randint(-(10**30), 10**30) for _ in range(cols)]
+            elif kind == "fraction":
+                vector = [random_rational(rng) for _ in range(cols)]
+            else:
+                vector = [rng.choice([rng.randint(-(10**30), 10**30), random_rational(rng)]) for _ in range(cols)]
+                vector[rng.randrange(cols)] = random_rational(rng)
+            result = m.apply(vector)
+            assert result == fraction_dot(m, vector)
+            assert {type(x) for x in result} == {int if kind == "int" else Fraction}
+
+    def test_any_fraction_gives_fractions_even_over_denominator_one(self):
+        m = IntegerMatrix.from_rows([[2, 2], [4, 6], [0, 0]])
+        for vector in ([Fraction(2), 3], [2, Fraction(3)], [Fraction(1, 2), Fraction(3, 2)]):
+            result = m.apply(vector)
+            assert result == fraction_dot(m, vector)
+            assert all(type(x) is Fraction and x.denominator == 1 for x in result)
+
+    def test_ints_give_ints(self):
+        result = IntegerMatrix.from_rows([[1, 2], [3, 4]]).apply([5, -6])
+        assert result == (-7, -9)
+        assert all(type(x) is int for x in result)
+
+    @pytest.mark.parametrize("vector", [[0.5, Fraction(1, 4)], [0.1, 3], [Fraction(1, 3), 2.0]])
+    def test_a_float_keeps_the_plain_dot_product(self, vector):
+        m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+        plain = tuple(sum(a * v for a, v in zip(m.row(i), vector)) for i in range(m.rows))
+        result = m.apply(vector)
+        assert result == plain
+        assert all(type(x) is float for x in result)
+
+    def test_length_mismatch_refused(self):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            IntegerMatrix.identity(2).apply([Fraction(1, 2)])

@@ -250,11 +250,19 @@ class TestBuiltins:
             ("mult-by-2-g0", "^mult-by-m needs g >= 1$"),
             ("mult-by-2-g513", "^mult-by-m needs g <= 512$"),
             ("mult-by-2-g100000", "^mult-by-m needs g <= 512$"),
+            pytest.param(
+                "mult-by-2-g" + "9" * 5000, "^mult-by-m needs g <= 512$", id="g-of-5000-digits"
+            ),
         ],
     )
-    def test_mult_by_refusals(self, ref, refusal):
+    def test_mult_by_refusals(self, default_int_digit_limit, ref, refusal):
         with pytest.raises(ScenarioError, match=refusal):
             resolve_scenario(ref)
+
+    def test_mult_by_past_the_digit_cap_resolves(self, default_int_digit_limit):
+        scenario = resolve_scenario("mult-by-" + "7" * 5000)
+        assert scenario.name == "mult-by-" + "7" * 5000
+        assert scenario.endomorphism.matrix[0, 0] == 7 * (10**5000 - 1) // 9
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit cap"
