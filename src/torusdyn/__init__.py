@@ -61,7 +61,6 @@ from .linalg import (
 from .quotient import (
     ActionReport,
     GroupAction,
-    LiftReport,
     QuotientBound,
     lift_compatibility,
     orbit_partition,

@@ -346,11 +346,11 @@ def fixed_columns(
     Returns (N, columns): the points are a / N in (1/N)Z^n / Z^n for the
     tuples a = zip(*columns) in [0, N)^n, in lexicographic order, and
     columns[r] lists coordinate r of every point.  M^l and t_l come from
-    one call to power, and solve_mod_lattice solves (M^l - I) x = -t_l:
-    with U K V = D and b = U(-t_l), N is the lcm of d_i times the
-    denominator of b_i, one solution is a_0 = sum_i base_i V[:, i] with
-    base_i = b_i N / d_i, and the others differ from it by the lattice
-    L = {a : K a = 0 mod N}, spanned by (N / d_i) V[:, i] and N Z^n.
+    one call to power, and solve_mod_lattice gives U K V = D and one
+    solution x of (M^l - I) x = -t_l.  N is the lcm of the largest d_i
+    and the denominator of x, the walk starts at a_0 = N x, and the other
+    points differ from it by the lattice L = {a : K a = 0 mod N}, spanned
+    by (N / d_i) V[:, i] and N Z^n.
 
     linalg.echelon_basis turns those generators into an upper-triangular
     basis b_0..b_(n-1) of L with pivots h_i | N, and _echelon_walk runs
@@ -378,14 +378,11 @@ def fixed_columns(
             f"enumerating {count} fixed points exceeds budget {budget}"
         )
     # K is nondegenerate, so no row of D is zero and a solution exists
-    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
+    snf, x = solve_mod_lattice(k, [-c for c in f_l.translation])
     divisors = snf.elementary_divisors
-    common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
+    common = math.lcm(divisors[-1], *(c.denominator for c in x))
+    start = [c.numerator * (common // c.denominator) for c in x]
     axes = snf.V.transpose().to_lists()
-    start = [0] * n
-    for d, b, axis in zip(divisors, rhs, axes):
-        base = int(b * common / d)
-        start = [s + base * v for s, v in zip(start, axis)]
     basis = echelon_basis(
         [[common // d * v for v in axis] for d, axis in zip(divisors, axes)], common
     )
@@ -518,9 +515,11 @@ def growth_table(
 
 
 def factor_product_formula(factors: Sequence[SimpleFactorSpec], l: int) -> int:
-    """Product over simple factors of (q_i^l - 1)^{g_i}, with multiplicity."""
-    if l < 1:
-        raise ValueError("iterate must be >= 1")
+    """Product over simple factors of (q_i^l - 1)^{g_i}, with multiplicity.
+
+    l is taken through _checked_iterate, as in count_fixed.
+    """
+    l = _checked_iterate(l)
     if not factors:
         raise ValueError("need at least one factor")
     value = 1

@@ -211,13 +211,19 @@ class TorsionPoint(tuple):
 
 @dataclass(frozen=True)
 class SimpleFactorSpec:
-    """One isotypic block of a product torus: dimension, multiplier, multiplicity."""
+    """One isotypic block of a product torus: dimension, multiplier, multiplicity.
+
+    Each field is taken as an int (operator.index, so a float raises
+    TypeError) before its range is checked.
+    """
 
     g: int
     q: int
     multiplicity: int = 1
 
     def __post_init__(self):
+        for name in ("g", "q", "multiplicity"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.g < 1:
             raise ValueError("factor dimension g must be >= 1")
         if self.q < 2:
@@ -245,10 +251,6 @@ class LatticeEndomorphism:
     @classmethod
     def identity(cls, g: int) -> "LatticeEndomorphism":
         return cls(IntegerMatrix.identity(2 * g))
-
-    @classmethod
-    def multiplication_by(cls, m: int, g: int) -> "LatticeEndomorphism":
-        return cls(IntegerMatrix.scalar(2 * g, m))
 
     @property
     def rank(self) -> int:
@@ -363,25 +365,30 @@ def polarization_multiplier(
 
 def solve_mod_lattice(
     a: IntegerMatrix, t: Sequence[Fraction]
-) -> tuple[SmithDecomposition, tuple[Fraction, ...], bool]:
-    """Smith data for a x = t (mod Z^n), and whether it has a solution.
+) -> tuple[SmithDecomposition, tuple[Fraction, ...] | None]:
+    """One solution of a x = t (mod Z^n), or None, with the Smith data.
 
-    Returns (snf, b, solvable) for the one Smith form U a V = D and
-    b = U t.  In y = V^{-1} x the system reads d_i y_i = b_i (mod Z), one
-    line per row of D.  A row with d_i != 0 is solved by y_i = b_i / d_i
-    and its d_i translates by j / d_i.  A zero row of D, one with d_i = 0
-    or one past the last divisor of a tall a, reads 0 = b_i (mod Z), so
-    the system is solvable exactly when b_i is an integer on every zero
-    row; the solutions are then x = V y.
+    Returns (snf, x) for the one Smith form U a V = D.  With b = U t and
+    y = V^{-1} x the system reads d_i y_i = b_i (mod Z), one line per row
+    of D.  A zero row of D, one with d_i = 0 or one past the last divisor
+    of a tall a, reads 0 = b_i (mod Z): when some such b_i is not an
+    integer there is no solution and x is None.  Otherwise x = V y, with
+    y_i = b_i / d_i on the nonzero divisors and y_i = 0 elsewhere, in
+    exact Fractions; the other solutions add j / d_i to y_i and anything
+    to the y_i of a zero divisor.
     """
     snf = smith_normal_form(a)
+    divisors = snf.elementary_divisors
     b = snf.U.apply(t)
-    solvable = all(
-        c.denominator == 1
-        for d, c in itertools.zip_longest(snf.elementary_divisors, b, fillvalue=0)
+    if any(
+        c.denominator != 1
+        for d, c in itertools.zip_longest(divisors, b, fillvalue=0)
         if d == 0
-    )
-    return snf, b, solvable
+    ):
+        return snf, None
+    y = [Fraction(c, d) if d else Fraction(0) for d, c in zip(divisors, b)]
+    y += [Fraction(0)] * (a.cols - len(y))
+    return snf, snf.V.apply(y)
 
 
 def restrict_to_sublattice(
@@ -393,21 +400,21 @@ def restrict_to_sublattice(
     solve_mod_lattice(B, t).  It decides saturation and solves
     B M' = M B: that holds exactly when the rows k.. of U M B vanish, and
     then M' = V (U M B)[:k].  The translation t must lie in the span of B
-    modulo Z^{2g}, which is the solver's verdict on B x = t, and then
-    t' = V (U t)[:k].
+    modulo Z^{2g}: t' is the solver's solution of B t' = t, and None
+    refuses.  Saturation is refused first, then invariance, then the span.
     """
     if basis.rows != f.rank:
         raise ValueError("basis rows must match the ambient rank")
     if basis.cols % 2 != 0 or basis.cols > basis.rows:
         raise ValueError("basis must have even column count at most the ambient rank")
-    snf, u_t, in_span = solve_mod_lattice(basis, f.translation)
+    snf, translation = solve_mod_lattice(basis, f.translation)
     if any(d != 1 for d in snf.elementary_divisors):
         raise ValueError("basis is not saturated (elementary divisors must all be 1)")
     k = basis.cols
     image = (snf.U * f.matrix * basis).to_lists()
     if any(any(row) for row in image[k:]):
         raise ValueError("sublattice is not invariant under the endomorphism")
-    if not in_span:
+    if translation is None:
         raise ValueError("translation does not lie in the sublattice span modulo Z^{2g}")
     restricted = snf.V * IntegerMatrix.from_rows(image[:k])
-    return LatticeEndomorphism(restricted, snf.V.apply(u_t[:k]))
+    return LatticeEndomorphism(restricted, translation)

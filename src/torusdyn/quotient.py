@@ -67,18 +67,6 @@ class ActionReport:
     violations: tuple[str, ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    """The lift map, permutation[i] = j when f g_i = g_j f, or the failures.
-
-    It need not be a bijection: [2] sends every 2-torsion translation to 0.
-    """
-
-    compatible: bool
-    permutation: tuple[int, ...] = ()
-    failures: tuple[str, ...] = ()
-
-
 class QuotientBound(NamedTuple):
     """Orbit count of the fixed set against the |G|-to-1 lower bound; the
     fields are the printed columns, in order."""
@@ -113,36 +101,34 @@ def validate_action(action: GroupAction) -> ActionReport:
         if a == identity:
             continue
         k = a.matrix - IntegerMatrix.identity(a.rank)
-        if solve_mod_lattice(k, [-c for c in a.translation])[2]:
+        if solve_mod_lattice(k, [-c for c in a.translation])[1] is not None:
             free = False
             violations.append(f"freeness fails: element {i} has a fixed point")
     return ActionReport(valid=not violations, free=free, violations=tuple(violations))
 
 
-def lift_compatibility(f: LatticeEndomorphism, action: GroupAction) -> LiftReport:
-    """For each g find g' in the group with f g = g' f as torus maps.
+def lift_compatibility(f: LatticeEndomorphism, action: GroupAction) -> tuple[int, ...]:
+    """The lift map pi, pi[i] = j when f g_i = g_j f as torus maps.
 
-    Matrix parts must agree exactly; translations up to Z^{2g}.  The
-    matching map g -> g', which need not be a bijection, witnesses that
-    f descends to the quotient.
+    Matrix parts must agree exactly; translations up to Z^{2g}.  The map,
+    which need not be a bijection ([2] sends every 2-torsion translation
+    to the identity), witnesses that f descends to the quotient.  When
+    some g_i has no match, ValueError names each such element.
     """
     if f.rank != action.rank:
         raise ValueError("endomorphism and action ranks differ")
     images = [compose(g_prime, f) for g_prime in action.elements]
-    permutation: list[int] = []
+    lift: list[int] = []
     failures: list[str] = []
     for i, g in enumerate(action.elements):
         lhs = compose(f, g)
         if lhs in images:
-            permutation.append(images.index(lhs))
+            lift.append(images.index(lhs))
         else:
             failures.append(f"no group element matches f composed with element {i}")
-            permutation.append(-1)
-    return LiftReport(
-        compatible=not failures,
-        permutation=tuple(permutation),
-        failures=tuple(failures),
-    )
+    if failures:
+        raise ValueError("endomorphism does not descend: " + "; ".join(failures))
+    return tuple(lift)
 
 
 def _grid_classes(
@@ -207,17 +193,12 @@ def orbit_partition(
 
 
 def _require_descent(f: LatticeEndomorphism, action: GroupAction) -> tuple[int, ...]:
-    """Refuse an invalid action, or an f that does not descend through it.
-
-    Returns the lift map pi of lift_compatibility, f g = pi(g) f.
-    """
+    """Refuse an invalid action, then return lift_compatibility's lift map
+    pi, f g = pi(g) f, which refuses an f that does not descend."""
     report = validate_action(action)
     if not report.valid:
         raise ValueError("invalid group action: " + "; ".join(report.violations))
-    lift = lift_compatibility(f, action)
-    if not lift.compatible:
-        raise ValueError("endomorphism does not descend: " + "; ".join(lift.failures))
-    return lift.permutation
+    return lift_compatibility(f, action)
 
 
 def _cycle_lengths(lift: Sequence[int]) -> list[int]:

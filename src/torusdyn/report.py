@@ -51,12 +51,3 @@ def render_csv(report: Report) -> str:
     for row in (report.headers, *report.rows):
         (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-    """Inverse of render_csv; returns (headers, rows)."""
-    reader = csv.reader(io.StringIO(text))
-    parsed = [tuple(row) for row in reader]
-    if not parsed:
-        raise ValueError("empty CSV")
-    return parsed[0], tuple(parsed[1:])

@@ -6,9 +6,10 @@ principal-minor sums, the Faddeev-LeVerrier characteristic polynomial,
 the Pfaffian by expansion along the first row, a per-point grid scan, the
 fixed set walked over the Smith axes and sorted, a Fraction orbit
 partition, and elementary random matrix generators.  None of these share
-code with the package paths they check, apart from the Smith data the
-fixed-set walk takes from solve_mod_lattice.  The package imports
-nothing from here.
+code with the package paths they check, apart from the Smith form the
+fixed-set walk takes from smith_normal_form.  Two helpers only build
+test inputs and read test outputs: multiplication_by and parse_csv.  The
+package imports nothing from here.
 """
 
 from __future__ import annotations
@@ -181,20 +182,21 @@ def fixed_grid_smith_walk(f, l: int = 1) -> tuple[int, list[tuple[int, ...]]]:
     a = sum_i (base_i + j_i N / d_i) V[:, i] mod N, j_i < d_i, where
     base_i = b_i N / d_i and N is the lcm of d_i times the denominator of
     b_i.  Axis by axis, each coordinate list is extended by every multiple;
-    the lists are zipped into tuples and sorted at the end.  The Smith
-    data comes from solve_mod_lattice, as in fixpoint.fixed_columns; the
-    walk and the order are this function's own.  Assumes
-    det(M^l - I) != 0 and takes no budget.
+    the lists are zipped into tuples and sorted at the end.  Only the
+    Smith form is shared with fixpoint.fixed_columns: b, N and the walk
+    and its order are this function's own.  Assumes det(M^l - I) != 0
+    and takes no budget.
     """
     # imported here, as in brute_force_scan
     import math
 
-    from torusdyn import power, solve_mod_lattice
+    from torusdyn import power, smith_normal_form
 
     n = f.rank
     f_l = power(f, l)
     k = f_l.matrix - IntegerMatrix.identity(n)
-    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f_l.translation])
+    snf = smith_normal_form(k)
+    rhs = snf.U.apply([-c for c in f_l.translation])
     divisors = snf.elementary_divisors
     common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
     columns: list[list[int]] = [[0] for _ in range(n)]
@@ -225,3 +227,23 @@ def orbit_partition_fractions(points, action) -> list:
                 cls.append(remaining.pop(image))
         classes.append(cls)
     return classes
+
+
+def multiplication_by(m: int, g: int):
+    """[m] on a torus of half-dimension g: the scalar matrix m I_{2g}."""
+    # imported here, as in brute_force_scan
+    from torusdyn import LatticeEndomorphism
+
+    return LatticeEndomorphism(IntegerMatrix.scalar(2 * g, m))
+
+
+def parse_csv(text: str) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """Inverse of report.render_csv; returns (headers, rows)."""
+    # imported here, as in brute_force_scan
+    import csv
+    import io
+
+    parsed = [tuple(row) for row in csv.reader(io.StringIO(text))]
+    if not parsed:
+        raise ValueError("empty CSV")
+    return parsed[0], tuple(parsed[1:])

@@ -19,10 +19,10 @@ from torusdyn import (
 )
 from torusdyn import fixpoint, quotient as quotient_mod
 from torusdyn.cli import COMMANDS, FLAGS, VERIFY_TARGETS, Options, main, run_command
-from torusdyn.report import Report, parse_csv, render_csv
-from torusdyn.scenarios import SubvarietySpec, resolve_scenario, save_scenario_file
+from torusdyn.report import Report, render_csv
+from torusdyn.scenarios import BUILTINS, SubvarietySpec, resolve_scenario, save_scenario_file
 
-from oracles import random_unimodular
+from oracles import parse_csv, random_unimodular
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +245,35 @@ class TestQuotient:
         assert code == 0
         assert out.splitlines()[-1].split()[:2] == ["3", "456976"]
         assert sorted(calls) == ["lift_compatibility", "validate_action"]
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                # [2] sends the involution's 1/2 to 0, and (U, 0) is not in G
+                {
+                    "endomorphism": {"M": [[2 * (i == j) for j in range(4)] for i in range(4)]},
+                    "factors": [{"g": 1, "q": 4, "r": 2}],
+                },
+                "endomorphism does not descend: "
+                "no group element matches f composed with element 1",
+            ),
+            (
+                {"action": BUILTINS["bielliptic-quotient"][1]()["action"][1:]},
+                "invalid group action: identity element missing; "
+                "closure fails: element 0 composed with 0",
+            ),
+        ],
+        ids=["not-descending", "no-identity"],
+    )
+    def test_refusal_is_exact(self, tmp_path, capsys, changes, message):
+        # bielliptic-quotient's scenario file with the given fields replaced
+        path = tmp_path / "refused.json"
+        path.write_text(
+            json.dumps({"name": "refused", **BUILTINS["bielliptic-quotient"][1](), **changes})
+        )
+        code, out, err = run_cli(capsys, "quotient", "--scenario", str(path), "--l", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestSubvariety:

@@ -37,7 +37,7 @@ from torusdyn.linalg import (
 )
 from torusdyn.scenarios import resolve_scenario
 
-from oracles import random_matrix, random_nonsingular, random_unimodular
+from oracles import multiplication_by, random_matrix, random_nonsingular, random_unimodular
 from test_grid_properties import FINITE_ORDER_BLOCKS
 
 GAUSSIAN = LatticeEndomorphism(IntegerMatrix.from_rows([[1, -1], [1, 1]]))
@@ -45,7 +45,7 @@ HALF = Fraction(1, 2)
 
 
 def mult(m, g=1):
-    return LatticeEndomorphism.multiplication_by(m, g)
+    return multiplication_by(m, g)
 
 
 class TestCountFixed:
@@ -560,6 +560,38 @@ class TestFactorFormula:
     def test_zero_dimension_unrepresentable(self):
         with pytest.raises(ValueError):
             SimpleFactorSpec(g=0, q=2)
+
+    @pytest.mark.parametrize("l", [2.0, 2.5, "2"])
+    def test_non_integer_iterate_refused(self, l):
+        # 2.0 used to give the float 15.0
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            factor_product_formula([SimpleFactorSpec(1, 4)], l)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_iterate_below_one_refused(self, l):
+        with pytest.raises(ValueError, match="^iterate must be >= 1$"):
+            factor_product_formula([SimpleFactorSpec(1, 4)], l)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"g": 1.0, "q": 4}, {"g": 1, "q": 4.0}, {"g": 1, "q": 4, "multiplicity": 2.0}],
+        ids=["g", "q", "multiplicity"],
+    )
+    def test_non_integer_field_refused(self, fields):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SimpleFactorSpec(**fields)
+
+    def test_fields_stored_as_int(self):
+        class IntegerLike:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        spec = SimpleFactorSpec(True, IntegerLike(4), IntegerLike(2))
+        assert [type(v) for v in (spec.g, spec.q, spec.multiplicity)] == [int] * 3
+        assert factor_product_formula([spec], 2) == 15**2
 
 
 class TestCompareExact:

@@ -11,9 +11,9 @@ groups (V = I) and on cyclic groups over a large denominator.  The exterior-powe
 recurrences behind the growth and compare tables must match det(M**l - I)
 row by row, past the rows their Bareiss check covers, also
 on maps with a finite-order block, whose iterates are degenerate
-whenever the order divides l.  The verdict of the torus solver on
-A x = t (mod Z^n) must be certified by the data it returns, on such
-degenerate iterates and on tall saturated bases.
+whenever the order divides l.  The torus solver's solution of
+A x = t (mod Z^n) must solve it, and its None must be certified by a row
+of its U, on such degenerate iterates and on tall saturated bases.
 """
 
 import itertools
@@ -60,6 +60,7 @@ from torusdyn.scenarios import BUILTINS
 from oracles import (
     brute_force_scan,
     fixed_grid_smith_walk,
+    multiplication_by,
     orbit_partition_fractions,
     random_matrix,
     random_unimodular,
@@ -205,17 +206,16 @@ def test_solver_verdict_is_certified_by_its_output():
     @given(congruence_systems())
     def check(system):
         a, t = system
-        snf, b, solvable = solve_mod_lattice(a, t)
-        verdicts.add(solvable)
-        divisors = snf.elementary_divisors
-        if solvable:
-            # y_i = b_i / d_i on the nonzero divisors, 0 elsewhere
-            y = [c / d if d else Fraction(0) for d, c in zip(divisors, b)]
-            x = snf.V.apply(y)
+        snf, x = solve_mod_lattice(a, t)
+        verdicts.add(x is not None)
+        if x is not None:
+            assert len(x) == a.cols and all(type(v) is Fraction for v in x)
             assert all((v - c).denominator == 1 for v, c in zip(a.apply(x), t))
             return
         # a zero row of D (a zero divisor, or past the last one) with b_i
         # not integral; that row w of U has w A = 0 and w t not integral
+        divisors = snf.elementary_divisors
+        b = snf.U.apply(t)
         i = next(
             i
             for i, c in enumerate(b)
@@ -378,21 +378,50 @@ def as_sets(classes) -> set[frozenset]:
 SCAN_BUDGET = 10**5
 
 
-# rank 4 and 6 grids pass the budget at l = 2 on most draws, so this
-# property draws more examples than the others
-@settings(PROPERTIES, max_examples=100)
-@given(st.sampled_from([2, 4, 6]).flatmap(fixed_point_maps), st.sampled_from([1, 2]))
-def test_four_counts_agree(f, l):
-    # at l = 2 the scans read power's rational translation M t + t
-    try:
-        count = count_fixed(f, l)
-        scanned = brute_force_scan(f, l, budget=SCAN_BUDGET)
-    except (DegenerateFixedLocusError, BudgetExceededError):
-        # only det(M^2 - I) may vanish, and only its grid pass the budget
-        assert l == 2
-        assume(False)
-    points = enumerate_fixed(f, l)
-    assert len(points) == count == brute_force_count(f, l, SCAN_BUDGET) == scanned
+@st.composite
+def square_root_of_four_maps(draw) -> LatticeEndomorphism:
+    """M = R diag(+-2) R^-1 for a random unimodular R, with a translation
+    of denominator at most 2.  M^2 - I = 3 I and M - I = R diag(1 or -3)
+    R^-1, so the oracle grid has side at most 3 * 2 at l = 1 and 2, and
+    at most 6^6 = 46,656 points at rank 6."""
+    rank = draw(st.sampled_from([2, 4, 6]))
+    r = random_unimodular(random.Random(draw(seeds)), rank)
+    r_inv = complementary_isogeny(LatticeEndomorphism(r))[0].matrix
+    signs = draw(st.lists(st.sampled_from([2, -2]), min_size=rank, max_size=rank))
+    denominator = draw(st.integers(1, 2))
+    translation = draw(st.lists(st.integers(0, denominator - 1), min_size=rank, max_size=rank))
+    return LatticeEndomorphism(
+        r * IntegerMatrix.diagonal(signs) * r_inv,
+        tuple(Fraction(a, denominator) for a in translation),
+    )
+
+
+def test_four_counts_agree():
+    reached = set()
+
+    # rank 4 and 6 grids of fixed_point_maps pass the budget at l = 2 on
+    # most draws, so this property draws more examples than the others
+    @settings(PROPERTIES, max_examples=100)
+    @given(
+        st.sampled_from([2, 4, 6]).flatmap(fixed_point_maps) | square_root_of_four_maps(),
+        st.sampled_from([1, 2]),
+    )
+    def check(f, l):
+        # at l = 2 the scans read power's rational translation M t + t
+        try:
+            count = count_fixed(f, l)
+            scanned = brute_force_scan(f, l, budget=SCAN_BUDGET)
+        except (DegenerateFixedLocusError, BudgetExceededError):
+            # only det(M^2 - I) may vanish, and only its grid pass the budget
+            assert l == 2
+            assume(False)
+        points = enumerate_fixed(f, l)
+        assert len(points) == count == brute_force_count(f, l, SCAN_BUDGET) == scanned
+        reached.add((f.rank, l))
+
+    check()
+    # every rank at both iterates, rank 6 at l = 2 included
+    assert reached == set(itertools.product([2, 4, 6], [1, 2]))
 
 
 @PROPERTIES
@@ -500,9 +529,9 @@ def test_echelon_basis_of_the_solution_lattice(f):
     """The basis fixed_columns walks: upper triangular, pivots h_i | N and
     prod N / h_i = |det(M - I)|."""
     k = f.matrix - IntegerMatrix.identity(f.rank)
-    snf, rhs, _ = solve_mod_lattice(k, [-c for c in f.translation])
+    snf, x = solve_mod_lattice(k, [-c for c in f.translation])
     divisors = snf.elementary_divisors
-    common = math.lcm(*(d * b.denominator for d, b in zip(divisors, rhs)))
+    common = math.lcm(divisors[-1], *(c.denominator for c in x))
     axes = snf.V.transpose().to_lists()
     basis = echelon_basis([[common // d * v for v in a] for d, a in zip(divisors, axes)], common)
     for i, b in enumerate(basis):
@@ -582,7 +611,7 @@ def test_orbit_classes_and_seed_order_match_fraction_oracle(points):
 @given(seeds, st.sampled_from([2, 4]), st.sampled_from([-3, 5]), st.integers(1, 2))
 def test_quotient_orbit_count_matches_fraction_oracle(seed, rank, m, l):
     # [m] with m = 1 mod 4 commutes with elements whose translation is 4-torsion
-    f = LatticeEndomorphism.multiplication_by(m, rank // 2)
+    f = multiplication_by(m, rank // 2)
     assume(count_fixed(f, l) <= 600)
     points = enumerate_fixed(f, l)
     for action in free_actions(random.Random(seed), rank):
@@ -612,7 +641,7 @@ def test_orbit_count_follows_a_non_identity_lift(rows, lift):
     # f (x + s) = f(x) + M s, so f descends with lift map s -> M s mod Z^2
     f = LatticeEndomorphism(IntegerMatrix.from_rows(rows), (Fraction(1, 3), Fraction(0)))
     action = two_torsion_translations()
-    assert lift_compatibility(f, action).permutation == lift
+    assert lift_compatibility(f, action) == lift
     for l in range(1, 7):
         bound = quotient_fixed_lower_bound(f, action, 2, l)
         expected = len(orbit_partition_fractions(enumerate_fixed(f, l), action))

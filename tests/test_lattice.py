@@ -35,6 +35,7 @@ from torusdyn.lattice import collector_paused
 
 from oracles import (
     leading_minors_positive,
+    multiplication_by,
     random_matrix,
     random_nonsingular,
     random_unimodular,
@@ -444,9 +445,9 @@ class TestCompose:
         assert compose(f, LatticeEndomorphism.identity(1)) == f
 
     def test_multiplication_maps(self):
-        two = LatticeEndomorphism.multiplication_by(2, 1)
-        three = LatticeEndomorphism.multiplication_by(3, 1)
-        assert compose(two, three) == LatticeEndomorphism.multiplication_by(6, 1)
+        two = multiplication_by(2, 1)
+        three = multiplication_by(3, 1)
+        assert compose(two, three) == multiplication_by(6, 1)
 
     def test_translation_formula(self):
         f = endo([[1, 1], [0, 1]], (HALF, Fraction(0)))
@@ -466,8 +467,8 @@ class TestPower:
         assert power(f, 1) == f
 
     def test_scalar_cube(self):
-        f = LatticeEndomorphism.multiplication_by(2, 1)
-        assert power(f, 3) == LatticeEndomorphism.multiplication_by(8, 1)
+        f = multiplication_by(2, 1)
+        assert power(f, 3) == multiplication_by(8, 1)
 
     def test_translation_accumulates_mod_lattice(self):
         f = endo([[2, 0], [0, 2]], (HALF, Fraction(0)))
@@ -525,7 +526,7 @@ class TestDegree:
 
     @pytest.mark.parametrize("m,g", [(2, 1), (3, 1), (2, 2), (5, 2)])
     def test_multiplication_map(self, m, g):
-        f = LatticeEndomorphism.multiplication_by(m, g)
+        f = multiplication_by(m, g)
         assert degree(f) == m ** (2 * g)
 
     def test_degree_zero_signals_non_isogeny(self):
@@ -541,7 +542,7 @@ class TestDegree:
 
 class TestComplementaryIsogeny:
     def test_scalar(self):
-        f = LatticeEndomorphism.multiplication_by(2, 1)
+        f = multiplication_by(2, 1)
         hat, m = complementary_isogeny(f)
         assert m == 2
         assert hat.matrix == IntegerMatrix.identity(2)
@@ -585,7 +586,7 @@ class TestPolarizationMultiplier:
     def test_multiplication_by_m(self):
         torus = ComplexTorus(1, riemann_form=S0)
         for m in (2, 3, 5):
-            f = LatticeEndomorphism.multiplication_by(m, 1)
+            f = multiplication_by(m, 1)
             assert polarization_multiplier(f, torus) == m * m
 
     def test_sumdiff_has_q_2(self):
@@ -622,11 +623,39 @@ class TestPolarizationMultiplier:
     def test_polarized_degree_is_q_to_g(self):
         for g, f in (
             (1, LatticeEndomorphism(GAUSSIAN)),
-            (2, LatticeEndomorphism.multiplication_by(3, 2)),
+            (2, multiplication_by(3, 2)),
         ):
             torus = _cm_torus(g)
             q = polarization_multiplier(f, torus)
             assert degree(f) == q**g
+
+
+class TestSolveModLattice:
+    @pytest.mark.parametrize(
+        "rows, t",
+        [
+            ([[2]], [1]),  # an integer t still gives Fractions, never a float
+            ([[4, 0], [0, 6]], [HALF, Fraction(1, 3)]),  # Smith form diag(2, 12)
+            ([[2, 0], [0, 0]], [HALF, 3]),  # a zero divisor
+            ([[2, 0]], [HALF]),  # wide: a free coordinate past the last divisor
+            ([[1], [0]], [HALF, 1]),  # tall: the last row reads 0 = 1 mod Z
+        ],
+        ids=["integer-t", "chain", "zero-divisor", "wide", "tall"],
+    )
+    def test_one_solution(self, rows, t):
+        a = IntegerMatrix.from_rows(rows)
+        snf, x = lattice.solve_mod_lattice(a, t)
+        assert snf.U * a * snf.V == snf.D
+        assert len(x) == a.cols and all(type(c) is Fraction for c in x)
+        assert all((v - c).denominator == 1 for v, c in zip(a.apply(x), t))
+
+    @pytest.mark.parametrize(
+        "rows, t",
+        [([[2, 0], [0, 0]], [HALF, HALF]), ([[1], [0]], [0, HALF]), ([[0]], [Fraction(1, 3)])],
+        ids=["zero-divisor", "tall", "zero"],
+    )
+    def test_no_solution_is_none(self, rows, t):
+        assert lattice.solve_mod_lattice(IntegerMatrix.from_rows(rows), t)[1] is None
 
 
 class TestRestrictToSublattice:
@@ -634,7 +663,7 @@ class TestRestrictToSublattice:
     FIRST_FACTOR = IntegerMatrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])
 
     def test_diagonal_restriction(self):
-        f = LatticeEndomorphism.multiplication_by(2, 2)
+        f = multiplication_by(2, 2)
         restricted = restrict_to_sublattice(f, self.DIAGONAL)
         assert restricted.matrix == IntegerMatrix.scalar(2, 2)
 
@@ -657,7 +686,7 @@ class TestRestrictToSublattice:
 
     def test_non_saturated_rejected(self):
         doubled = IntegerMatrix.from_rows([[2, 0], [0, 2], [2, 0], [0, 2]])
-        f = LatticeEndomorphism.multiplication_by(2, 2)
+        f = multiplication_by(2, 2)
         with pytest.raises(ValueError, match="basis is not saturated"):
             restrict_to_sublattice(f, doubled)
 
@@ -674,8 +703,31 @@ class TestRestrictToSublattice:
             IntegerMatrix.scalar(4, 2),
             (HALF, Fraction(0), Fraction(0), Fraction(0)),
         )
-        with pytest.raises(ValueError, match="span"):
+        with pytest.raises(
+            ValueError,
+            match=r"^translation does not lie in the sublattice span modulo Z\^\{2g\}$",
+        ):
             restrict_to_sublattice(f, self.DIAGONAL)
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            # every defect at once: saturation is refused first
+            ([[2, 0], [0, 2], [2, 0], [0, 2]], "basis is not saturated"),
+            # saturated, neither invariant nor spanning t: invariance next
+            ([[1, 0], [0, 1], [1, 0], [0, 1]], "sublattice is not invariant"),
+        ],
+        ids=["saturation-first", "invariance-before-span"],
+    )
+    def test_refusal_order(self, basis, message):
+        # M maps the diagonal's (1, 0, 1, 0) to (1, 0, 2, 0), and t = (1/2, 0, 0, 0)
+        # lies outside its span
+        f = endo(
+            [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]],
+            (HALF, Fraction(0), Fraction(0), Fraction(0)),
+        )
+        with pytest.raises(ValueError, match=f"^{message}"):
+            restrict_to_sublattice(f, IntegerMatrix.from_rows(basis))
 
     def test_restrict_commutes_with_power(self):
         f = LatticeEndomorphism(

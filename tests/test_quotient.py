@@ -22,6 +22,8 @@ from torusdyn import (
 from torusdyn import fixpoint, quotient
 from torusdyn.fixpoint import DegenerateFixedLocusError
 
+from oracles import multiplication_by
+
 HALF = Fraction(1, 2)
 
 
@@ -101,19 +103,37 @@ class TestValidateAction:
 class TestLiftCompatibility:
     def test_mult_3_compatible(self):
         # [3] fixes the involution: 3s = s mod Z^4
-        report = lift_compatibility(
-            LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action()
-        )
-        assert report.compatible
-        assert report.permutation == (0, 1)
+        lift = lift_compatibility(multiplication_by(3, 2), bielliptic_action())
+        assert lift == (0, 1)
 
     def test_mult_2_incompatible(self):
         # 2s = 0 and (U, 0) is not in the group
-        report = lift_compatibility(
-            LatticeEndomorphism.multiplication_by(2, 2), bielliptic_action()
+        with pytest.raises(
+            ValueError,
+            match="^endomorphism does not descend: "
+            "no group element matches f composed with element 1$",
+        ):
+            lift_compatibility(multiplication_by(2, 2), bielliptic_action())
+
+    def test_every_failing_element_named(self):
+        # the powers of a quarter turn with a 2-torsion shift: [2] kills the
+        # shift of each non-identity element, and no element has that
+        # element's linear part with shift 0
+        quarter = IntegerMatrix.from_rows([[0, -1], [1, 0]])
+        elements = [LatticeEndomorphism.identity(1)]
+        for _ in range(3):
+            elements.append(
+                compose(LatticeEndomorphism(quarter, (HALF, Fraction(0))), elements[-1])
+            )
+        with pytest.raises(ValueError) as refusal:
+            lift_compatibility(multiplication_by(2, 1), GroupAction(tuple(elements)))
+        assert str(refusal.value) == "endomorphism does not descend: " + "; ".join(
+            f"no group element matches f composed with element {i}" for i in (1, 2, 3)
         )
-        assert not report.compatible
-        assert report.failures
+
+    def test_rank_mismatch_refused(self):
+        with pytest.raises(ValueError, match="^endomorphism and action ranks differ$"):
+            lift_compatibility(multiplication_by(3, 1), bielliptic_action())
 
     def test_trivial_group_always_compatible(self):
         rng = random.Random(2)
@@ -124,20 +144,20 @@ class TestLiftCompatibility:
                     [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
                 )
             )
-            assert lift_compatibility(f, trivial_action(n)).compatible
+            assert lift_compatibility(f, trivial_action(n)) == (0,)
 
     def test_compatibility_passes_to_powers(self):
-        f = LatticeEndomorphism.multiplication_by(3, 2)
+        f = multiplication_by(3, 2)
         action = bielliptic_action()
-        assert lift_compatibility(f, action).compatible
+        assert lift_compatibility(f, action) == (0, 1)
         for l in (2, 3, 4):
-            assert lift_compatibility(power(f, l), action).compatible
+            assert lift_compatibility(power(f, l), action) == (0, 1)
 
 
 class TestQuotientBound:
     def test_bielliptic_l1(self):
         bound = quotient_fixed_lower_bound(
-            LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, 1
+            multiplication_by(3, 2), bielliptic_action(), 9, 1
         )
         assert bound.upstairs_count == 16
         assert bound.orbit_count == 8
@@ -146,21 +166,21 @@ class TestQuotientBound:
 
     def test_bielliptic_l2(self):
         bound = quotient_fixed_lower_bound(
-            LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, 2
+            multiplication_by(3, 2), bielliptic_action(), 9, 2
         )
         assert bound.upstairs_count == 4096
         assert bound.orbit_count == 2048
         assert bound.lower_bound == Fraction(4096, 2)
 
     def test_trivial_group_orbit_count_is_count(self):
-        f = LatticeEndomorphism.multiplication_by(2, 1)
+        f = multiplication_by(2, 1)
         bound = quotient_fixed_lower_bound(f, trivial_action(2), 4, 2)
         assert bound.orbit_count == count_fixed(f, 2) == 9
 
     def test_incompatible_lift_rejected(self):
         with pytest.raises(ValueError, match="descend"):
             quotient_fixed_lower_bound(
-                LatticeEndomorphism.multiplication_by(2, 2),
+                multiplication_by(2, 2),
                 bielliptic_action(),
                 4,
                 1,
@@ -174,7 +194,7 @@ class TestQuotientBound:
         monkeypatch.setattr(fixpoint, "fixed_columns", refuse)
         monkeypatch.setattr(quotient, "_grid_classes", refuse)
         bound = quotient_fixed_lower_bound(
-            LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, 3
+            multiplication_by(3, 2), bielliptic_action(), 9, 3
         )
         assert (bound.upstairs_count, bound.orbit_count) == (456976, 228488)
 
@@ -184,11 +204,11 @@ class TestQuotientBound:
         for m in (3, 2):
             with pytest.raises(ValueError, match="^multiplier q must be > 1$"):
                 quotient_fixed_lower_bound(
-                    LatticeEndomorphism.multiplication_by(m, 2), bielliptic_action(), q, 1
+                    multiplication_by(m, 2), bielliptic_action(), q, 1
                 )
 
     def test_group_times_orbits_covers_fixed_set(self):
-        f = LatticeEndomorphism.multiplication_by(3, 2)
+        f = multiplication_by(3, 2)
         action = bielliptic_action()
         for l in (1, 2):
             bound = quotient_fixed_lower_bound(f, action, 9, l)
@@ -197,7 +217,7 @@ class TestQuotientBound:
 
 class TestQuotientTable:
     def test_rows_match_single_iterates(self):
-        f = LatticeEndomorphism.multiplication_by(3, 2)
+        f = multiplication_by(3, 2)
         action = bielliptic_action()
         assert quotient_table(f, action, 9, 2) == [
             quotient_fixed_lower_bound(f, action, 9, l) for l in (1, 2)
@@ -210,7 +230,7 @@ class TestQuotientTable:
         monkeypatch.setattr(quotient, "_grid_classes", lambda *args: grids.append(args))
         with pytest.raises(DegenerateFixedLocusError, match=re.escape("det(M^2 - I) = 0")):
             quotient_table(
-                LatticeEndomorphism.multiplication_by(-1, 2), bielliptic_action(), 2, 3
+                multiplication_by(-1, 2), bielliptic_action(), 2, 3
             )
         assert grids == []
 
@@ -219,26 +239,26 @@ class TestQuotientTable:
         for m in (3, 2):
             with pytest.raises(ValueError, match="^multiplier q must be > 1$"):
                 quotient_table(
-                    LatticeEndomorphism.multiplication_by(m, 2), bielliptic_action(), q, 2
+                    multiplication_by(m, 2), bielliptic_action(), q, 2
                 )
 
     @pytest.mark.parametrize("l_max", [0, -3])
     def test_l_max_below_one_refused(self, l_max):
         with pytest.raises(ValueError, match="^l_max must be >= 1$"):
             quotient_table(
-                LatticeEndomorphism.multiplication_by(3, 2), bielliptic_action(), 9, l_max
+                multiplication_by(3, 2), bielliptic_action(), 9, l_max
             )
 
     def test_incompatible_lift_rejected(self):
         with pytest.raises(ValueError, match="descend"):
             quotient_table(
-                LatticeEndomorphism.multiplication_by(2, 2), bielliptic_action(), 4, 2
+                multiplication_by(2, 2), bielliptic_action(), 4, 2
             )
 
 
 class TestOrbitPartition:
     def test_partition_covers_and_is_disjoint(self):
-        f = LatticeEndomorphism.multiplication_by(3, 2)
+        f = multiplication_by(3, 2)
         action = bielliptic_action()
         points = enumerate_fixed(f, 1)
         classes = orbit_partition(points, action)
@@ -247,7 +267,7 @@ class TestOrbitPartition:
         assert len(seen) == len(set(seen))
 
     def test_free_action_forces_full_orbits(self):
-        f = LatticeEndomorphism.multiplication_by(3, 2)
+        f = multiplication_by(3, 2)
         action = bielliptic_action()
         classes = orbit_partition(enumerate_fixed(f, 1), action)
         assert all(len(cls) == 2 for cls in classes)
