@@ -142,10 +142,13 @@ def _checked_iterate(l: int) -> int:
     return l
 
 
-def check_multiplier(q: int) -> None:
-    """Refuse a multiplier q < 2, which no polarized map has."""
+def check_multiplier(q: int) -> int:
+    """q as an int (operator.index, so a float raises TypeError), refusing
+    a multiplier q < 2, which no polarized map has."""
+    q = operator.index(q)
     if q < 2:
         raise ValueError("multiplier q must be > 1")
+    return q
 
 
 def count_fixed(f: LatticeEndomorphism, l: int = 1) -> int:
@@ -504,7 +507,7 @@ def growth_table(
     degenerate iterate (det(M^l - I) = 0) raises DegenerateFixedLocusError,
     as count_fixed would at that l.
     """
-    check_multiplier(q)
+    q = check_multiplier(q)
     rows = []
     step = q**g
     asymptote = 1
@@ -561,7 +564,7 @@ def eigenvalue_magnitude_check(
     the achieved residual is reported either way.  The tolerance must be
     finite and >= 0: an infinite one would pass every map.
     """
-    check_multiplier(q)
+    q = check_multiplier(q)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and >= 0")
     reduced = functools.reduce(operator.mul, (a for a, _ in _charpoly_split(f.matrix)))

@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     IntegerMatrix,
+    SingularMatrixError,
     SmithDecomposition,
+    adjugate,
     bareiss_pivots,
     binary_power,
     det,
@@ -297,9 +299,11 @@ def power(f: LatticeEndomorphism, l: int) -> LatticeEndomorphism:
     product and one translation step reduced mod Z^{2g}, so neither the
     matrix nor the translation is walked l times and M - I is never
     inverted.  Iterates of one map commute, so the order of each
-    composition does not matter.  l = 0 is rejected: the identity has its
-    own constructor.
+    composition does not matter.  l is taken as an int (operator.index,
+    so a float raises TypeError) before any work; l = 0 is rejected: the
+    identity has its own constructor.
     """
+    l = operator.index(l)
     if l < 1:
         raise ValueError("iterate must be >= 1")
     return binary_power(f, l, compose)
@@ -316,18 +320,25 @@ def complementary_isogeny(
     """The complementary isogeny: minimal m > 0 with m M^{-1} integral.
 
     Returns (f_hat, m) with f_hat.matrix * M = M * f_hat.matrix = m I; m is
-    the largest elementary divisor of M (the exponent of the kernel).  From
-    the Smith form U M V = diag(d_i), m M^{-1} = V diag(m / d_i) U, so no
-    rational inverse is formed.
+    the largest elementary divisor d_n of M (the exponent of the kernel).
+    Both come from linalg.adjugate's one fraction-free Gauss-Jordan pass,
+    with no Smith form: the gcd of adj(M)'s entries is the (n-1)-th
+    determinantal divisor d_1...d_(n-1), so m = |det M| / gcd(adj M) and
+    f_hat = sign(det M) adj(M) / gcd(adj M), with no rational inverse
+    formed.  A degenerate M is refused as the elimination finds no pivot.
     """
     if not f.is_translation_free():
         raise ValueError("complementary isogeny needs a translation-free isogeny")
-    snf = smith_normal_form(f.matrix)
-    if 0 in snf.elementary_divisors:
-        raise ValueError("degenerate endomorphism (degree 0) has no complementary isogeny")
-    m = snf.largest_divisor()
-    scale = IntegerMatrix.diagonal([m // d for d in snf.elementary_divisors])
-    return LatticeEndomorphism(snf.V * scale * snf.U), m
+    try:
+        d, adj = adjugate(f.matrix)
+    except SingularMatrixError:
+        raise ValueError(
+            "degenerate endomorphism (degree 0) has no complementary isogeny"
+        ) from None
+    g = math.gcd(*adj.entries)
+    scale = g if d > 0 else -g
+    hat = IntegerMatrix(adj.rows, adj.cols, tuple(v // scale for v in adj.entries))
+    return LatticeEndomorphism(hat), abs(d) // g
 
 
 def polarization_multiplier(

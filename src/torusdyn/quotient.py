@@ -252,7 +252,7 @@ def quotient_fixed_lower_bound(
     an exact rational; the multiplier-based value (q^l - 1)^g / |G| is
     reported for comparison but never asserted, and q < 2 is refused first.
     """
-    check_multiplier(q)
+    q = check_multiplier(q)
     cycles = _cycle_lengths(_require_descent(f, action))
     return _orbit_bound(f, len(action), q, l, count_fixed(f, l), cycles)
 
@@ -265,7 +265,7 @@ def quotient_table(
     Every row's det(M^l - I) comes from iterate_determinants, which refuses
     l_max < 1; a degenerate row is refused with count_fixed's message.
     """
-    check_multiplier(q)
+    q = check_multiplier(q)
     cycles = _cycle_lengths(_require_descent(f, action))
     return [
         _orbit_bound(f, len(action), q, l, nondegenerate_count(l, d), cycles)

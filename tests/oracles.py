@@ -1,13 +1,15 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately naive: schoolbook matrix products, cofactor determinants,
-the Sylvester test by one cofactor determinant per leading minor,
+Deliberately naive: schoolbook matrix products, cofactor determinants
+and adjugates, the Sylvester test by one cofactor determinant per leading
+minor, the Bareiss row exchanges and pivots by cofactor minors,
 principal-minor sums, the Faddeev-LeVerrier characteristic polynomial,
-the Pfaffian by expansion along the first row, a per-point grid scan, the
-fixed set walked over the Smith axes and sorted, a Fraction orbit
-partition, and elementary random matrix generators.  None of these share
-code with the package paths they check, apart from the Smith form the
-fixed-set walk takes from smith_normal_form.  Two helpers only build
+the Pfaffian by expansion along the first row, the complementary isogeny
+from the Smith form, a per-point grid scan, the fixed set walked over the
+Smith axes and sorted, a Fraction orbit partition, and elementary random
+matrix generators.  None of these share code with the package paths they
+check, apart from the Smith form that the fixed-set walk and the Smith
+complementary isogeny take from smith_normal_form.  Two helpers only build
 test inputs and read test outputs: multiplication_by and parse_csv.  The
 package imports nothing from here.
 """
@@ -43,6 +45,50 @@ def det_cofactor(rows: list[list[int]]) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def adjugate_cofactor(rows: list[list[int]]) -> list[list[int]]:
+    """adj(m)[i][j] = (-1)^(i+j) det(m without row j and column i)."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j)
+            * det_cofactor(
+                [[r[c] for c in range(n) if c != i] for k, r in enumerate(rows) if k != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def exchanged_leading_minors(rows: list[list[int]]) -> tuple[list[int], int]:
+    """The pivots and row exchanges of a Bareiss elimination, by cofactor minors.
+
+    At step k the entry Bareiss meets in row i >= k, column k is the minor
+    on rows 0..k-1, i and columns 0..k (Sylvester's identity), so row k is
+    exchanged with the first row i >= k whose minor is nonzero and the
+    pivot is the (k+1)-th leading principal minor of the exchanged rows.
+    With no such row the minors end with 0.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    minors, exchanges = [], 0
+    for k in range(n):
+        def minor(i: int) -> int:
+            return det_cofactor([r[: k + 1] for r in rows[:k] + [rows[i]]])
+
+        i = next((i for i in range(k, n) if minor(i)), None)
+        if i is None:
+            minors.append(0)
+            break
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            exchanges += 1
+        minors.append(minor(k))
+    return minors, exchanges
 
 
 def leading_minors_positive(rows: list[list[int]]) -> bool:
@@ -102,17 +148,33 @@ def pfaffian_expansion(a: list[list[int]]) -> int:
     return total
 
 
+def random_sparse(
+    rng: random.Random, n: int, zeros: float = 0.6, lo: int = -3, hi: int = 3
+) -> IntegerMatrix:
+    """n x n with at least the share zeros of its entries 0, the others
+    nonzero in [lo, hi]."""
+    entries = [0] * (n * n)
+    for k in rng.sample(range(n * n), int(n * n * (1 - zeros))):
+        entries[k] = rng.choice([v for v in range(lo, hi + 1) if v])
+    return IntegerMatrix(n, n, tuple(entries))
+
+
 def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> IntegerMatrix:
     return IntegerMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
     )
 
 
-def random_nonsingular(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> IntegerMatrix:
+def nonsingular(draw) -> IntegerMatrix:
+    """The first matrix draw() gives with a nonzero cofactor determinant."""
     while True:
-        m = random_matrix(rng, n, lo, hi)
+        m = draw()
         if det_cofactor(m.to_lists()) != 0:
             return m
+
+
+def random_nonsingular(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> IntegerMatrix:
+    return nonsingular(lambda: random_matrix(rng, n, lo, hi))
 
 
 def random_skew(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> IntegerMatrix:
@@ -139,6 +201,23 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntegerMat
         else:
             rows[i] = [-a for a in rows[i]]
     return IntegerMatrix.from_rows(rows)
+
+
+def complementary_smith(m: IntegerMatrix) -> tuple[list[list[int]], int]:
+    """(d_n m^{-1}, d_n) for d_n the largest elementary divisor of m.
+
+    From the Smith form U m V = diag(d_i): d_n m^{-1} = V diag(d_n / d_i) U,
+    with schoolbook products.  Assumes det m != 0.
+    """
+    # imported here, as in brute_force_scan
+    from torusdyn import smith_normal_form
+
+    snf = smith_normal_form(m)
+    d = snf.largest_divisor()
+    scaled = [
+        [v * (d // e) for v, e in zip(row, snf.elementary_divisors)] for row in snf.V.to_lists()
+    ]
+    return product_schoolbook(scaled, snf.U.to_lists()), d
 
 
 def brute_force_scan(f, l: int = 1, budget: int = 10**6) -> int:

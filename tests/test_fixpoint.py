@@ -465,7 +465,23 @@ class TestIterateDeterminants:
             next(rows)
 
 
+@pytest.mark.parametrize("l", (2.0, "2"))
+@pytest.mark.parametrize(
+    "walk", (enumerate_fixed, fixpoint.fixed_columns, brute_force_count, power)
+)
+def test_point_walks_take_the_iterate_as_an_integer(walk, l):
+    # each starts from power(f, l), which refuses an l that is not an int
+    f = resolve_scenario("bielliptic-quotient").endomorphism
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        walk(f, l)
+
+
 class TestGrowthTable:
+    @pytest.mark.parametrize("q", (2.0, 4.5, "4"))
+    def test_multiplier_must_be_an_integer(self, q):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            growth_table(mult(2), q, 1, 5)
+
     def test_mult_2_ratios(self):
         rows = growth_table(mult(2), 4, 1, 5)
         for row in rows:

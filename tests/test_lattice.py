@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -34,10 +35,13 @@ from torusdyn.intersection import standard_symplectic_form
 from torusdyn.lattice import collector_paused
 
 from oracles import (
+    complementary_smith,
     leading_minors_positive,
     multiplication_by,
+    nonsingular,
     random_matrix,
     random_nonsingular,
+    random_sparse,
     random_unimodular,
 )
 
@@ -480,6 +484,13 @@ class TestPower:
         with pytest.raises(ValueError):
             power(LatticeEndomorphism.identity(1), 0)
 
+    @pytest.mark.parametrize("l", (2.0, 2.5, "2"))
+    def test_iterate_must_be_an_integer(self, l):
+        # 2.0 used to reach binary_power's l & 1
+        f = resolve_scenario("bielliptic-quotient").endomorphism
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            power(f, l)
+
     def test_degree_of_power(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -560,9 +571,19 @@ class TestComplementaryIsogeny:
         assert m == 6
         assert hat.matrix == IntegerMatrix.diagonal([6, 1])
 
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            complementary_isogeny(endo([[1, 1], [1, 1]]))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, 1]],
+            [[0, 0], [0, 0]],
+            [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]],
+            [[0, 1, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+        ],
+    )
+    def test_rejects_degenerate(self, rows):
+        message = "degenerate endomorphism (degree 0) has no complementary isogeny"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            complementary_isogeny(endo(rows))
 
     def test_rejects_translation(self):
         f = endo([[2, 0], [0, 2]], (HALF, Fraction(0)))
@@ -580,6 +601,55 @@ class TestComplementaryIsogeny:
                 assert m**n == degree(f) * degree(hat)
                 # m is minimal: (m / p) M^{-1} is integral for no prime p | m
                 assert math.gcd(m, *hat.matrix.entries) == 1
+
+
+def complementary_cases():
+    """Nonsingular maps for the Smith cross-check, labelled by kind."""
+    rng = random.Random(2718)
+    for n in (2, 4, 6, 8):
+        for k in range(4):
+            yield f"dense n={n} #{k}", random_nonsingular(rng, n, -9, 9)
+            if n > 2:
+                # at n = 2 a 60 % share of zeros leaves every matrix singular
+                yield f"sparse n={n} #{k}", nonsingular(lambda: random_sparse(rng, n))
+    for g in (1, 2, 5, 16, 64):
+        for m in (2, 3):
+            yield f"mult-by-{m}-g{g}", resolve_scenario(f"mult-by-{m}-g{g}").endomorphism.matrix
+    blocks = [random_nonsingular(rng, 2, -5, 5) for _ in range(6)]
+    diagonal = IntegerMatrix.block_diagonal(blocks)
+    yield "block-diagonal n=12", diagonal
+    yield "block-diagonal n=12 with scalar blocks", IntegerMatrix.block_diagonal(
+        [IntegerMatrix.scalar(2, 4), *blocks[:3], IntegerMatrix.scalar(4, -6)]
+    )
+    for k in range(3):
+        rows = diagonal.to_lists()
+        rng.shuffle(rows)
+        yield f"row-permuted block-diagonal #{k}", IntegerMatrix.from_rows(rows)
+        rows = random_nonsingular(rng, 6, -4, 4).to_lists()
+        rng.shuffle(rows)
+        yield f"row-permuted dense #{k}", IntegerMatrix.from_rows(rows)
+    yield "unimodular n=16", random_unimodular(rng, 16, steps=40)
+
+
+COMPLEMENTARY_CASES = dict(complementary_cases())
+
+
+class TestComplementaryIsogenyAgainstSmith:
+    @pytest.mark.parametrize("label", list(COMPLEMENTARY_CASES))
+    def test_equals_the_smith_construction(self, label):
+        m = COMPLEMENTARY_CASES[label]
+        hat, d = complementary_isogeny(LatticeEndomorphism(m))
+        assert (hat.matrix.to_lists(), d) == complementary_smith(m)
+
+    def test_takes_no_smith_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("complementary_isogeny took a Smith form")
+
+        monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+        hat, m = complementary_isogeny(resolve_scenario("mult-by-2-g64").endomorphism)
+        assert m == 2 and hat.matrix == IntegerMatrix.identity(128)
+        hat, m = complementary_isogeny(LatticeEndomorphism(GAUSSIAN))
+        assert m == 2
 
 
 class TestPolarizationMultiplier:

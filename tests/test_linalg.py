@@ -15,9 +15,12 @@ from torusdyn import (
     smith_normal_form,
 )
 from torusdyn import linalg
+from torusdyn.intersection import standard_symplectic_form
 from torusdyn.linalg import (
     NonSquareMatrixError,
+    SingularMatrixError,
     SkewSymmetryError,
+    adjugate,
     charpoly_power,
     echelon_basis,
     power_bits,
@@ -29,13 +32,18 @@ from torusdyn.linalg import (
 )
 
 from oracles import (
+    adjugate_cofactor,
     charpoly_faddeev,
     det_cofactor,
+    exchanged_leading_minors,
+    nonsingular,
     pfaffian_expansion,
     principal_minor_trace,
     product_schoolbook,
     random_matrix,
+    random_nonsingular,
     random_skew,
+    random_sparse,
     random_unimodular,
 )
 
@@ -252,6 +260,144 @@ class TestBareissPivots:
         results = [linalg.bareiss_pivots(m) for m in BAREISS_CASES.values()]
         assert any(exchanges for _, exchanges in results)
         assert any(pivots[-1] == 0 for pivots, _ in results)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sparse_pivots_are_minors_of_the_exchanged_matrix(self, n):
+        # a zero corner forces an exchange at the first step, and the zeros
+        # leave most rows alone at most steps
+        rng = random.Random(300 + n)
+        exchanged = 0
+        for _ in range(25):
+            rows = random_sparse(rng, n).to_lists()
+            rows[0][0] = 0
+            pivots, exchanges = linalg.bareiss_pivots(IntegerMatrix.from_rows(rows))
+            assert (pivots, exchanges) == exchanged_leading_minors(rows)
+            exchanged += exchanges > 0
+        assert exchanged > 0
+
+    @pytest.mark.parametrize("n", (2, 5, 8))
+    def test_dense_rows_take_the_plain_updates(self, n):
+        # with no zero in a pivot column every row below the pivot is
+        # updated at every step, each entry past the pivot column once, with
+        # no rescaling, and the rows end as the elimination without the skip
+        # leaves them
+        rows = random_matrix(random.Random(n), n, 1, 9).to_lists()
+        a = [CountedRow(row) for row in rows]
+        linalg._bareiss(a, jordan=False)
+        assert a == plain_bareiss_rows(rows)
+        assert sum(row.entries for row in a) == sum(k * k for k in range(n))
+        assert sum(row.rescales for row in a) == 0
+
+    @pytest.mark.parametrize("jordan", (False, True))
+    def test_scalar_rows_are_only_rescaled(self, jordan):
+        # c I: no row is updated; row k is brought to the pivot c^k once
+        n = 9
+        a = [CountedRow(row) for row in IntegerMatrix.scalar(n, 3).to_lists()]
+        pivots, exchanges, levels = linalg._bareiss(a, jordan)
+        assert (pivots, exchanges) == ([3 ** (k + 1) for k in range(n)], 0)
+        assert [(row.entries, row.rescales) for row in a] == [(0, 0)] + [(0, 1)] * (n - 1)
+        assert levels == pivots
+
+
+class CountedRow(list):
+    """A row that counts the entries written to it one at a time, and the
+    slices written at once (a rescaled row)."""
+
+    entries = rescales = 0
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice):
+            self.rescales += 1
+        else:
+            self.entries += 1
+        super().__setitem__(index, value)
+
+
+def plain_bareiss_rows(rows: list[list[int]]) -> list[list[int]]:
+    """The rows after a forward Bareiss pass that updates every row below
+    the pivot, columns past it only; assumes no pivot is 0."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return a
+
+
+def adjugate_cases():
+    """Nonsingular matrices for adjugate, labelled by kind."""
+    rng = random.Random(5150)
+    for n in range(1, 7):
+        yield f"dense n={n}", random_nonsingular(rng, n, -9, 9)
+        if n >= 3:
+            # below n = 3 a 60 % share of zeros leaves every matrix singular
+            yield f"sparse n={n}", nonsingular(lambda: random_sparse(rng, n))
+        yield f"scalar n={n}", IntegerMatrix.scalar(n, rng.choice((-3, 2, 5)))
+        perm = rng.sample(range(n), n)
+        yield f"signed permutation n={n}", IntegerMatrix.from_rows(
+            [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        )
+    blocks = [random_nonsingular(rng, 2) for _ in range(3)]
+    rows = IntegerMatrix.block_diagonal(blocks).to_lists()
+    yield "block-diagonal 6", IntegerMatrix.from_rows(rows)
+    yield "block-diagonal 6, rows cycled", IntegerMatrix.from_rows(rows[1:] + rows[:1])
+
+
+ADJUGATE_CASES = dict(adjugate_cases())
+
+
+class TestAdjugate:
+    @pytest.mark.parametrize("label", list(ADJUGATE_CASES))
+    def test_matches_the_cofactor_adjugate(self, label):
+        m = ADJUGATE_CASES[label]
+        rows = m.to_lists()
+        d, adj = adjugate(m)
+        assert d == det_cofactor(rows)
+        assert adj.to_lists() == adjugate_cofactor(rows)
+
+    @pytest.mark.parametrize("label", list(ADJUGATE_CASES))
+    def test_adjugate_identity(self, label):
+        m = ADJUGATE_CASES[label]
+        d, adj = adjugate(m)
+        scalar = IntegerMatrix.scalar(m.rows, d)
+        assert m * adj == adj * m == scalar
+
+    @pytest.mark.parametrize("n", (8, 12, 16, 32))
+    def test_adjugate_identity_past_the_cofactor_oracle(self, n):
+        rng = random.Random(n)
+        unimodular = random_unimodular(rng, n, steps=3 * n)
+        for m in (
+            random_matrix(rng, n, -99, 99),
+            random_sparse(rng, n, zeros=0.8) + IntegerMatrix.scalar(n, 7),
+            unimodular,
+            IntegerMatrix.scalar(n, -2) * unimodular,
+        ):
+            d, adj = adjugate(m)
+            assert d == det(m)
+            product = product_schoolbook(m.to_lists(), adj.to_lists())
+            assert product == IntegerMatrix.scalar(n, d).to_lists()
+            assert product_schoolbook(adj.to_lists(), m.to_lists()) == product
+
+    def test_scalar_rows_are_brought_to_the_determinant_once(self):
+        # 2I of size 256: no row is updated, each is only rescaled
+        d, adj = adjugate(IntegerMatrix.scalar(256, 2))
+        assert d == 2**256
+        assert adj == IntegerMatrix.scalar(256, 2**255)
+
+    @pytest.mark.parametrize(
+        "rows", [[[0]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[1, 0], [0, 0]]]
+    )
+    def test_singular_refused(self, rows):
+        with pytest.raises(SingularMatrixError, match="singular"):
+            adjugate(IntegerMatrix.from_rows(rows))
+
+    def test_non_square_refused(self):
+        with pytest.raises(NonSquareMatrixError):
+            adjugate(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 class TestSmithNormalForm:
@@ -494,6 +640,31 @@ def packed_product_cases():
 PACKED_PRODUCT_CASES = dict(packed_product_cases())
 
 
+# bound -> (n, max|a|, max|b|) with n max|a| max|b| = bound, on both sides
+# of the switch from 8-byte slots (bound below 2^62) to wider ones
+WORD_SWITCH_BOUNDS = {
+    2**62 - 1: (3, 2**31 - 1, (2**31 + 1) // 3),
+    2**62: (4, 2**30, 2**30),
+    2**62 + 1: (5, 1, (2**62 + 1) // 5),
+    2**63 - 1: (7, 1, (2**63 - 1) // 7),
+    2**63: (2, 2**31, 2**31),
+}
+
+
+def count_word_arrays(monkeypatch) -> Counter:
+    """Count the arrays _packed_product makes from now on: two per product
+    on 8-byte slots (packing b and cutting the rows), none on wider ones."""
+    calls = Counter()
+    original = linalg.array
+
+    def counted(*args):
+        calls["arrays"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "array", counted)
+    return calls
+
+
 class TestPackedProduct:
     @pytest.mark.parametrize("label", list(PACKED_PRODUCT_CASES))
     def test_equals_plain_product(self, label):
@@ -504,8 +675,9 @@ class TestPackedProduct:
 
     def test_slots_reach_their_bound(self):
         # every entry of the product is n max|a| max|b| in size, of either
-        # sign; the bound's bit lengths take every residue mod 8
-        for bits in range(1, 18):
+        # sign; the bound's bit lengths take every residue mod 8, on both
+        # sides of the switch from 8-byte slots to wider ones
+        for bits in range(1, 65):
             top = 2**bits - 1
             for n in (3, 12):
                 plus = IntegerMatrix.from_rows([[top] * n] * n)
@@ -515,6 +687,64 @@ class TestPackedProduct:
                 for a, b in ((plus, plus), (plus, -plus), (-plus, plus), (signs, plus)):
                     expected = product_schoolbook(a.to_lists(), b.to_lists())
                     assert linalg._packed_product(a, b).to_lists() == expected
+
+    @pytest.mark.parametrize("bound", WORD_SWITCH_BOUNDS)
+    @pytest.mark.parametrize("signs", ("++", "+-", "-+", "alternating"))
+    def test_word_slots_switch_at_62_bits(self, monkeypatch, bound, signs):
+        # n max|a| max|b| = bound exactly, and every entry of the product
+        # reaches it: 8-byte slots while the bound has at most 62 bits
+        n, left_top, right_top = WORD_SWITCH_BOUNDS[bound]
+        assert n * left_top * right_top == bound
+        left = [[left_top] * n for _ in range(3)]
+        right = [[right_top] * 4 for _ in range(n)]
+        if signs[0] == "-":
+            left = [[-v for v in row] for row in left]
+        if signs[-1] == "-":
+            right = [[-v for v in row] for row in right]
+        if signs == "alternating":
+            left = [
+                [v if (i + j) % 2 else -v for j, v in enumerate(row)]
+                for i, row in enumerate(left)
+            ]
+        words = count_word_arrays(monkeypatch)
+        a, b = IntegerMatrix.from_rows(left), IntegerMatrix.from_rows(right)
+        assert linalg._packed_product(a, b).to_lists() == product_schoolbook(left, right)
+        assert words["arrays"] == (2 if bound.bit_length() < 63 else 0)
+
+    @pytest.mark.parametrize("bound", WORD_SWITCH_BOUNDS)
+    def test_zero_factors_at_the_switch(self, monkeypatch, bound):
+        # a zero factor on either side: the other one alone sets the slots
+        n, _, top = WORD_SWITCH_BOUNDS[bound]
+        full = IntegerMatrix.from_rows(
+            [[top if (i + j) % 3 else -top for j in range(n)] for i in range(n)]
+        )
+        zero = IntegerMatrix.zero(n, n)
+        words = count_word_arrays(monkeypatch)
+        assert linalg._packed_product(zero, full) == zero
+        assert linalg._packed_product(full, zero) == zero
+        # packing b = full takes slots for n * top; b = 0 takes 8 bytes
+        assert words["arrays"] == (4 if (n * top).bit_length() < 63 else 2)
+
+    @pytest.mark.parametrize("right_top, words", [(858993459, True), (858993460, False)])
+    def test_rectangular_at_the_switch(self, monkeypatch, right_top, words):
+        # 13x5 by 5x9 with random signs: 5 * 2^30 * right_top is just below
+        # 2^62 (62 bits), then 2^62 + 2^32 (63 bits)
+        rng = random.Random(right_top)
+        left_top = 2**30
+        slot_bound = 5 * left_top * right_top
+        assert slot_bound.bit_length() == (62 if words else 63)
+        left = [[rng.choice((-1, 1)) * left_top for _ in range(5)] for _ in range(13)]
+        right = [[rng.choice((-1, 1)) * right_top for _ in range(9)] for _ in range(5)]
+        # one column of equal signs takes some entry of the product to the bound
+        for i in range(5):
+            right[i][0] = left[0][i] // left_top * right_top
+        calls = count_word_arrays(monkeypatch)
+        a, b = IntegerMatrix.from_rows(left), IntegerMatrix.from_rows(right)
+        expected = product_schoolbook(left, right)
+        assert expected[0][0] == slot_bound
+        assert linalg._packed_product(a, b).to_lists() == expected
+        assert (a * b).to_lists() == expected
+        assert calls["arrays"] == (4 if words else 0)
 
     @pytest.mark.parametrize(
         "n, bits, packs",
@@ -849,6 +1079,28 @@ class TestPfaffian:
                 s = random_skew(rng, n)
                 u = random_matrix(rng, n)
                 assert pfaffian(u.transpose() * s * u) == det(u) * pfaffian(s)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+    def test_sparse_skew_matches_expansion(self, n):
+        # rows with a[0][i] = a[1][i] = 0 are copied or rescaled, not updated
+        rng = random.Random(400 + n)
+        for _ in range(20):
+            upper = random_sparse(rng, n, zeros=0.7, lo=-5, hi=5).to_lists()
+            rows = [
+                [upper[i][j] if j > i else -upper[j][i] if j < i else 0 for j in range(n)]
+                for i in range(n)
+            ]
+            s = IntegerMatrix.from_rows(rows)
+            assert pfaffian(s) == pfaffian_expansion(rows)
+            assert pfaffian(s) ** 2 == det(s) == det_cofactor(rows)
+
+    @pytest.mark.parametrize("g", range(1, 17))
+    def test_standard_symplectic_form(self, g):
+        s = standard_symplectic_form(g)
+        assert pfaffian(s) == pfaffian_expansion(s.to_lists()) == (-1) ** g
+        assert pfaffian(s) ** 2 == det(s) == 1
+        # a multiple of it: each step scales the rows it copies
+        assert pfaffian(s * 3) == (-3) ** g
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(SkewSymmetryError):

@@ -215,6 +215,19 @@ class TestQuotientBound:
             assert len(action) * bound.orbit_count >= bound.upstairs_count
 
 
+@pytest.mark.parametrize("q", (9.0, 9.5, "9"))
+@pytest.mark.parametrize("bound", (quotient_fixed_lower_bound, quotient_table))
+def test_multiplier_refused_before_the_action_is_checked(monkeypatch, bound, q):
+    # 9.0 used to pass q < 2 and fail in Fraction after the action, the
+    # lift map and Fix(f) had been worked out
+    def refuse(action):
+        raise AssertionError("the action was validated before q")
+
+    monkeypatch.setattr(quotient, "validate_action", refuse)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        bound(multiplication_by(3, 2), bielliptic_action(), q, 1)
+
+
 class TestQuotientTable:
     def test_rows_match_single_iterates(self):
         f = multiplication_by(3, 2)
